@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .groebner import Ideal
+from .linalg import det
 from .poly import Polynomial, Ring, parse_poly, ring
 
 Coeffs = Dict[str, Polynomial]
@@ -1065,17 +1066,6 @@ def quotient_image(case: CaseSpec, point) -> object:
     raise ValueError(f"no quotient map for situation {sit!r}")
 
 
-def _det(m: Matrix) -> Fraction:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
-
-
 def _sl_minors(w: Matrix) -> List[Fraction]:
     from itertools import combinations
 
@@ -1083,7 +1073,7 @@ def _sl_minors(w: Matrix) -> List[Fraction]:
     nprime = len(w[0])
     out = []
     for cols in combinations(range(nprime), n):
-        out.append(_det([[w[i][j] for j in cols] for i in range(n)]))
+        out.append(det([[w[i][j] for j in cols] for i in range(n)]))
     return out
 
 

@@ -5,6 +5,7 @@ case and options."""
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -291,6 +292,8 @@ def _tangent_checks(case: CaseSpec, bounds: Tuple[int, int]) -> List[Check]:
     out: List[Check] = []
     data = case.tangent
 
+    # the four checks read one report, built by whichever runs first
+    @functools.cache
     def run_report():
         return tangent.tangent_report(case)
 

@@ -13,12 +13,13 @@ which is exactly the linear-algebra step the dimension arguments use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations_with_replacement
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .catalog import CaseSpec, Coeffs, get_case
 from .groebner import Ideal, ideal_equal, ideal_product, normal_form
-from .poly import Polynomial
+from .poly import Coeff, Monomial, Polynomial, monomial_mul
 
 
 def check_generates(gens: Sequence[Tuple[str, Polynomial]], ideal: Ideal) -> bool:
@@ -47,13 +48,44 @@ def check_relation(
     square: Optional[Ideal] = None,
 ) -> bool:
     """True iff the coefficient combination of the generators lies in the
-    square of the ideal."""
+    square of the ideal.
+
+    A homogeneous square contains a polynomial iff it contains each of its
+    homogeneous parts, and its degree-d part is spanned by the products of
+    its generators with monomials of the complementary degree (a Macaulay
+    matrix), so each part is decided by one exact elimination.  A
+    non-homogeneous square is decided by a Groebner normal form."""
     combo = relation_combination(rel, gens)
     if combo.is_zero():
         return True
     if square is None:
         square = ideal_product(ideal, ideal)
-    return normal_form(combo, square).is_zero()
+    if not square.is_homogeneous():
+        return normal_form(combo, square).is_zero()
+    parts: Dict[int, Dict[Monomial, Coeff]] = {}
+    for m, c in combo.terms.items():
+        parts.setdefault(sum(m), {})[m] = c
+    return not any(_degree_span(square, d).reduce(part) for d, part in parts.items())
+
+
+def _degree_span(ideal: Ideal, d: int) -> linalg.Echelon:
+    """Echelon basis of the degree-d part of a homogeneous ideal."""
+    span = linalg.Echelon()
+    for h in ideal.generators:
+        k = d - h.degree()
+        if k < 0:
+            continue
+        for m in _monomials(ideal.ring.arity, k):
+            span.insert({monomial_mul(m, mh): c for mh, c in h.terms.items()})
+    return span
+
+
+def _monomials(arity: int, degree: int) -> Iterator[Monomial]:
+    for choice in combinations_with_replacement(range(arity), degree):
+        exps = [0] * arity
+        for i in choice:
+            exps[i] += 1
+        yield tuple(exps)
 
 
 def evaluate_pairing(
@@ -70,26 +102,6 @@ def evaluate_pairing(
     return normal_form(out, ideal)
 
 
-def _rank(rows: List[List[Fraction]]) -> int:
-    mat = [r[:] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][c]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                f = mat[i][c] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def rank_lower_bound(
     morphisms: Sequence[Tuple[str, Coeffs]],
     rels: Sequence[Tuple[str, Coeffs]],
@@ -99,20 +111,14 @@ def rank_lower_bound(
     flattened over the monomials of their normal forms."""
     if not morphisms or not rels:
         raise ValueError("need at least one morphism and one relation")
-    values: Dict[Tuple[int, int], Polynomial] = {}
-    for mi, (_, morph) in enumerate(morphisms):
+    rows = []
+    for _, morph in morphisms:
+        row = {}
         for ri, (_, rel) in enumerate(rels):
-            values[(mi, ri)] = evaluate_pairing(morph, rel, ideal)
-    columns = sorted(
-        {(ri, m) for (mi, ri), p in values.items() for m in p.terms}
-    )
-    rows = [
-        [values[(mi, ri)].terms.get(m, Fraction(0)) for (ri, m) in columns]
-        for mi in range(len(morphisms))
-    ]
-    if not columns:
-        return 0
-    return _rank(rows)
+            for m, c in evaluate_pairing(morph, rel, ideal).terms.items():
+                row[(ri, m)] = c
+        rows.append(row)
+    return linalg.rank(rows)
 
 
 def value_tuple_rank(
@@ -123,20 +129,16 @@ def value_tuple_rank(
     """Rank of the morphisms as value tuples on the generators (normal
     forms flattened over monomials); used where relations are not
     catalogued and only linear independence is assertable."""
-    names = [n for n, _ in gens]
-    values: Dict[Tuple[int, int], Polynomial] = {}
-    for mi, (_, morph) in enumerate(morphisms):
-        for gi, name in enumerate(names):
-            v = morph.get(name, ideal.ring.zero())
-            values[(mi, gi)] = normal_form(v, ideal) if not v.is_zero() else v
-    columns = sorted({(gi, m) for (mi, gi), p in values.items() for m in p.terms})
-    if not columns:
-        return 0
-    rows = [
-        [values[(mi, gi)].terms.get(m, Fraction(0)) for (gi, m) in columns]
-        for mi in range(len(morphisms))
-    ]
-    return _rank(rows)
+    rows = []
+    for _, morph in morphisms:
+        row = {}
+        for gi, (name, _) in enumerate(gens):
+            v = morph.get(name)
+            if v is not None and not v.is_zero():
+                for m, c in normal_form(v, ideal).terms.items():
+                    row[(gi, m)] = c
+        rows.append(row)
+    return linalg.rank(rows)
 
 
 @dataclass

@@ -15,6 +15,7 @@ import pytest
 
 from classinv.catalog import get_case
 from classinv.groebner import Ideal, normal_form
+from classinv.linalg import Echelon
 from classinv.poly import Polynomial, parse_poly
 
 
@@ -50,40 +51,35 @@ def gl3_derivation(case, p, a, b):
 GENS_GL = [(1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)]
 
 
-def span_solve(target, basis):
-    """Coefficients expressing target in the span of basis, or None."""
+def span_solver(basis):
+    """Factor the span of basis once.  The returned function gives the
+    coefficients expressing a target in that span, or None: the reduced
+    echelon solution, with the coefficient of every basis vector that lies
+    in the span of the earlier ones zero.
+
+    Each basis vector is augmented with a tag column that sorts below every
+    monomial column, so reducing a target to zero on the monomials leaves
+    minus its coefficients on the tags.  Vectors dependent on earlier ones
+    are not inserted, so their tags never appear."""
     vecs = list(basis)
-    monos = sorted({m for q in vecs + [target] for m in q.terms})
-    idx = {m: i for i, m in enumerate(monos)}
-    cols = len(vecs)
-    A = [[Fraction(0)] * (cols + 1) for _ in monos]
+    span = Echelon()
     for c, q in enumerate(vecs):
-        for m, v in q.terms.items():
-            A[idx[m]][c] = v
-    for m, v in target.terms.items():
-        A[idx[m]][cols] = v
-    rank = 0
-    piv = []
-    for c in range(cols):
-        p = next((i for i in range(rank, len(A)) if A[i][c]), None)
-        if p is None:
-            continue
-        A[rank], A[p] = A[p], A[rank]
-        pv = A[rank][c]
-        A[rank] = [v / pv for v in A[rank]]
-        for i in range(len(A)):
-            if i != rank and A[i][c]:
-                f = A[i][c]
-                A[i] = [v - f * w for v, w in zip(A[i], A[rank])]
-        piv.append(c)
-        rank += 1
-    for i in range(rank, len(A)):
-        if A[i][cols]:
+        row = {(1, m): v for m, v in q.terms.items()}
+        row[(0, c)] = Fraction(1)
+        rem = span.reduce(row)
+        if max(rem)[0] == 1:
+            span.insert(rem)
+
+    def solve(target):
+        rem = span.reduce({(1, m): v for m, v in target.terms.items()})
+        if rem and max(rem)[0] == 1:
             return None
-    sol = [Fraction(0)] * cols
-    for rr, c in enumerate(piv):
-        sol[c] = A[rr][cols]
-    return sol
+        sol = [Fraction(0)] * len(vecs)
+        for (_, c), v in rem.items():
+            sol[c] = -v
+        return sol
+
+    return solve
 
 
 @pytest.fixture(scope="module")
@@ -105,12 +101,13 @@ class TestGl3Equivariance:
         hs = [table[f"h{i}"] for i in range(1, 10)]
         morphs = dict(case.tangent.morphisms)
         phis = [morphs[f"phi{k}"] for k in range(1, 6)]
+        solve = span_solver(hs)
         for a, b in GENS_GL:
             for i in range(1, 10):
                 dh = gl3_derivation(case, table[f"h{i}"], a, b)
                 if dh.is_zero():
                     continue
-                sol = span_solve(dh, hs)
+                sol = solve(dh)
                 assert sol is not None, "span of the h generators is stable"
                 for phi in phis:
                     lhs = sum(
@@ -135,13 +132,14 @@ class TestGl3Equivariance:
         spanners = [g * v for g in quad for v in lin]
         basis = [table[f"{letter}{i}"] for i in range(1, 7)]
         morphs = dict(case.tangent.morphisms)
+        solve = span_solver(spanners + basis)
         for k in (1, 2):
             morph = morphs[f"{family}{k}"]
             values = [morph[f"{letter}{i}"] for i in range(1, 7)]
             for a, b in GENS_GL:
                 for i in range(6):
                     dv = gl3_derivation(case, basis[i], a, b)
-                    sol = span_solve(dv, spanners + basis)
+                    sol = solve(dv)
                     assert sol is not None
                     coeffs = sol[-6:]
                     lhs = sum(
@@ -189,10 +187,11 @@ class TestSo3Equivariance:
         morphs = dict(case.tangent.morphisms)
         for j in (1, 2, 3):
             row = [table[f"g{j}{l}"] for l in (1, 2, 3)]
+            solve = span_solver(row)
             for a, b in [(1, 2), (1, 3), (2, 3)]:
                 for l in (1, 2, 3):
                     dg = so3_derivation(case, row[l - 1], a, b)
-                    sol = span_solve(dg, row) if not dg.is_zero() else [0, 0, 0]
+                    sol = solve(dg) if not dg.is_zero() else [0, 0, 0]
                     assert sol is not None, "wedge row span is stable"
                     for k in (1, 2, 3):
                         phi = morphs[f"phi{j}{k}"]

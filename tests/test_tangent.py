@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from classinv import checks, tangent
 from classinv.catalog import get_case
 from classinv.groebner import Ideal, ideal_product, normal_form
 from classinv.poly import parse_poly
@@ -82,6 +84,145 @@ class TestRelations:
         case = get_case("sp4")
         for _, rel in case.tangent.relations:
             assert relation_combination(rel, case.tangent.generators).is_zero()
+
+
+def add_relations(*rels):
+    out = {}
+    for rel in rels:
+        for name, coeff in rel.items():
+            out[name] = out[name] + coeff if name in out else coeff
+    return out
+
+
+def random_relation(rng, case):
+    """A random combination that mixes degrees: multiples of catalogued
+    relations, products of two or three generators, and with probability
+    one half a perturbation of low degree."""
+    r = case.ring
+    table = dict(case.tangent.generators)
+    names = sorted(table)
+    parts = []
+    for _, rel in rng.sample(case.tangent.relations, min(2, len(case.tangent.relations))):
+        scale = rng.choice([r.const(rng.randint(-3, 3)), r.var(rng.choice(r.variables))])
+        parts.append({n: scale * c for n, c in rel.items()})
+    for _ in range(2):
+        coeff = rng.randint(-3, 3) * table[rng.choice(names)]
+        if rng.random() < 0.5:
+            coeff = coeff * r.var(rng.choice(r.variables))
+        parts.append({rng.choice(names): coeff})
+    if rng.random() < 0.5:
+        mono = r.const(rng.randint(1, 3))
+        for _ in range(rng.randint(0, 2)):
+            mono = mono * r.var(rng.choice(r.variables))
+        parts.append({rng.choice(names): mono})
+    return add_relations(*parts)
+
+
+class TestMembershipOracle:
+    """Degree-local membership against the normal form modulo a Groebner
+    basis of the square."""
+
+    @pytest.mark.parametrize("name", ["gl2", "so3-I2", "sp4"])
+    def test_random_combinations(self, name):
+        case = get_case(name)
+        ideal_name = "I2" if "I2" in case.ideals and "I" not in case.ideals else "I"
+        ideal = case.ideal(ideal_name)
+        square = ideal_product(ideal, ideal)
+        gens = case.tangent.generators
+        rng = random.Random(f"membership-{name}")
+        verdicts, homogeneous = set(), set()
+        for _ in range(8):
+            rel = random_relation(rng, case)
+            combo = relation_combination(rel, gens)
+            want = normal_form(combo, square).is_zero()
+            assert check_relation(rel, gens, ideal, square) == want
+            verdicts.add(want)
+            homogeneous.add(combo.is_homogeneous())
+        assert verdicts == {True, False}
+        assert False in homogeneous
+
+    def test_non_homogeneous_square_uses_normal_form(self, monkeypatch):
+        case = get_case("gl2")
+        r = case.ring
+        ideal = case.ideal("I")
+        gens = case.tangent.generators
+        table = dict(gens)
+        square = Ideal(
+            r,
+            list(ideal_product(ideal, ideal).generators)
+            + [table["f1"] * table["f2"] + table["f3"]],
+        )
+        rels = [{"f3": r.one()}, {"h1": r.one()}, {"f3": r.var("x11"), "h2": r.one()}]
+        wants = [normal_form(relation_combination(rel, gens), square).is_zero() for rel in rels]
+        assert wants == [True, False, False]
+        calls = []
+
+        def counting(p, ideal_, *args):
+            calls.append(p)
+            return normal_form(p, ideal_, *args)
+
+        monkeypatch.setattr(tangent, "normal_form", counting)
+        assert [check_relation(rel, gens, ideal, square) for rel in rels] == wants
+        assert len(calls) == len(rels)
+
+
+@pytest.fixture(scope="module")
+def gl3_square():
+    case = get_case("gl3")
+    ideal = case.ideal("I")
+    return case, ideal, ideal_product(ideal, ideal)
+
+
+class TestGl3MembershipOracle:
+    # the Groebner oracle is kept at degree 4; at degree 5 it takes ~30 s
+    def check(self, gl3_square, rel):
+        case, ideal, square = gl3_square
+        gens = case.tangent.generators
+        combo = relation_combination(rel, gens)
+        assert combo.is_homogeneous() and combo.degree() == 4
+        want = normal_form(combo, square).is_zero()
+        assert check_relation(rel, gens, ideal, square) == want
+        return want
+
+    def test_cubic_times_variable_is_not_in_square(self, gl3_square):
+        r = gl3_square[0].ring
+        assert not self.check(gl3_square, {"s1": r.var("x11")})
+        assert not self.check(gl3_square, {"t4": r.var("y23")})
+
+    def test_quadric_products_are_in_square(self, gl3_square):
+        table = dict(gl3_square[0].tangent.generators)
+        assert self.check(gl3_square, {"f1": table["h2"]})
+        assert self.check(gl3_square, {"h3": table["f5"] - 2 * table["h9"]})
+
+    def test_mixed_sums(self, gl3_square):
+        case = gl3_square[0]
+        r = case.ring
+        table = dict(case.tangent.generators)
+        rels = dict(case.tangent.relations)
+        assert not self.check(gl3_square, {"f1": table["h2"], "s1": r.var("x11")})
+        assert self.check(gl3_square, add_relations(rels["r10"], {"f1": table["h2"]}))
+        assert not self.check(
+            gl3_square, add_relations(rels["r10"], {"s2": r.var("x12")})
+        )
+
+
+def test_tangent_report_built_once_per_case(monkeypatch):
+    calls = []
+    original = tangent.tangent_report
+
+    def counting(case):
+        calls.append(case)
+        return original(case)
+
+    monkeypatch.setattr(tangent, "tangent_report", counting)
+    report = checks.run_case("gl3")
+    assert len(calls) == 1
+    verdicts = {
+        c.name: c.verdict
+        for c in report.checks
+        if c.name in ("generates", "relations", "rank", "tangent-bounds")
+    }
+    assert verdicts == dict.fromkeys(("generates", "relations", "rank", "tangent-bounds"), "pass")
 
 
 class TestPairing:
