@@ -17,7 +17,9 @@ complete in degrees <= d, enough for Hilbert-function queries up to d.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -475,45 +477,68 @@ def _minimal_monomials(monomials: Iterable[Monomial]) -> List[Monomial]:
     return out
 
 
+def _hilbert_numerator(gens: List[Monomial]) -> List[int]:
+    """Coefficients of N(t), where k[x]/(gens) has Hilbert series
+    N(t)/(1-t)^n.  `gens` must be a minimal generating set.
+
+    Pivot recursion (Bayer-Stillman 1992, Bigatti 1997) on an explicit
+    stack: N(M) = N(M + (x_v^e)) + t^e N(M : x_v^e), where v occurs most
+    often among the generators with more than one variable and e is its
+    smallest positive exponent there.  Both branches shrink: the sum
+    drops a mixed generator (a minimal pure power x_v^a forces e < a),
+    the quotient lowers a degree.  Pairwise coprime generators end the
+    recursion with N = prod(1 - t^deg g).
+    """
+    num: List[int] = []
+    stack = [(gens, 0)]
+    while stack:
+        gens, shift = stack.pop()
+        supports = [[v for v, e in enumerate(g) if e] for g in gens]
+        occurs = Counter(v for s in supports for v in s)
+        if all(c == 1 for c in occurs.values()):
+            term = [1]
+            for g in gens:
+                d = sum(g)
+                term = term + [0] * d
+                for i in range(len(term) - d - 1, -1, -1):
+                    term[i + d] -= term[i]
+            num += [0] * (shift + len(term) - len(num))
+            for i, c in enumerate(term):
+                num[shift + i] += c
+            continue
+        mixed = Counter(v for s in supports if len(s) > 1 for v in s)
+        v = max(mixed, key=mixed.__getitem__)
+        e = min(g[v] for g, s in zip(gens, supports) if len(s) > 1 and g[v])
+        power = tuple(e if i == v else 0 for i in range(len(gens[0])))
+        stack.append(([g for g in gens if g[v] < e] + [power], shift))
+        # In the quotient only a generator that lost some x_v can divide
+        # another: a g with g[v] = 0 that divides h' also divides h.
+        quotient = [g[:v] + (max(g[v] - e, 0),) + g[v + 1 :] for g in gens]
+        lowered = [q for g, q in zip(gens, quotient) if g[v]]
+        minimal = [
+            h
+            for h in quotient
+            if not any(d != h and monomial_divides(d, h) for d in lowered)
+        ]
+        stack.append((minimal, shift + e))
+    return num
+
+
 def _count_standard(
     lead: Sequence[Monomial], arity: int, pmax: int
 ) -> List[int]:
     """Counts of degree-p monomials outside the monomial ideal, p = 0..pmax.
 
-    Enumeration with divisibility pruning: every standard monomial of
-    degree p arises exactly once as x_v * m' with m' standard of degree
-    p-1 and v = min support; candidates are rejected against the minimal
-    generators bucketed by their exact exponent in v.
+    Read off the Hilbert series N(t)/(1-t)^n of the ideal generated by
+    the leading monomials of degree <= pmax (higher ones do not reach
+    degree pmax): each of the n divisions by (1-t) is a prefix sum, so
+    H(p) = sum_{j<=p} N_j C(p-j+n-1, n-1).  The cost follows the minimal
+    generators, not the number of standard monomials.
     """
-    gens = _minimal_monomials(lead)
-    if any(sum(g) == 0 for g in gens):
-        return [0] * (pmax + 1)
-    guard = _guard_mask(arity)
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    for g in gens:
-        pg = _pack(g)
-        for v, e in enumerate(g):
-            if e:
-                buckets.setdefault((v, e), []).append(pg)
-
-    counts = [1]
-    level: List[Tuple[int, int, Monomial]] = [(0, arity - 1, (0,) * arity)]  # (packed, minsup, tuple)
-    for p in range(1, pmax + 1):
-        nxt: List[Tuple[int, int, Monomial]] = []
-        for pm, ms, mt in level:
-            for v in range(ms + 1):
-                e = mt[v] + 1
-                cand = pm + (1 << (_SHIFT * v))
-                blocked = False
-                for g in buckets.get((v, e), ()):
-                    if ((cand | guard) - g) & guard == guard:
-                        blocked = True
-                        break
-                if not blocked:
-                    nt = mt[:v] + (e,) + mt[v + 1 :]
-                    nxt.append((cand, v, nt))
-        level = nxt
-        counts.append(len(level))
+    gens = _minimal_monomials(m for m in lead if sum(m) <= pmax)
+    counts = (_hilbert_numerator(gens) + [0] * (pmax + 1))[: pmax + 1]
+    for _ in range(arity):
+        counts = list(accumulate(counts))
     return counts
 
 
@@ -549,9 +574,10 @@ def affine_hilbert_function(ideal: Ideal, d: int) -> int:
 def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
     """Dimension of the quotient ring via the leading-term ideal.
 
-    Equals the largest size of a variable subset S such that no minimal
-    generator of the leading-term ideal is supported entirely inside S.
-    Brute force over subsets; the catalogued instances keep arity <= 12.
+    The Hilbert series of the leading-term ideal is N(t)/(1-t)^n, and
+    the dimension is n - m where m is the multiplicity of t = 1 as a root
+    of N; m counts the synthetic divisions of N by (1-t) that leave no
+    remainder (N(1) = 0 each time).
     """
     n = ideal.ring.arity
     if ideal.is_zero():
@@ -559,17 +585,14 @@ def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
     basis = ideal.groebner_basis(order)
     if any(p.degree() == 0 for p in basis):
         raise ValueError("unit ideal has no Krull dimension")
-    gens = _minimal_monomials(g.leading_monomial(order) for g in basis)
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-    best = 0
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size <= best:
-            continue
-        subset = {i for i in range(n) if mask >> i & 1}
-        if all(not s <= subset for s in supports):
-            best = size
-    return best
+    num = _hilbert_numerator(
+        _minimal_monomials(g.leading_monomial(order) for g in basis)
+    )
+    m = 0
+    while sum(num) == 0:
+        num = list(accumulate(num))[:-1]
+        m += 1
+    return n - m
 
 
 def certify_gb(basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> bool:

@@ -78,10 +78,6 @@ def ring(*names: str) -> Ring:
     return Ring(tuple(names))
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -94,10 +90,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of x^a / x^b (caller guarantees divisibility)."""
     return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 class MonomialOrder:

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
+from classinv.catalog import case_names, get_case
 from classinv.groebner import (
     Ideal,
+    _count_standard,
     affine_hilbert_function,
     certify_gb,
     groebner_basis,
@@ -220,11 +224,101 @@ class TestHilbert:
         assert affine_hilbert_function(I, 9) == 4
 
 
+def random_monomial(rng, arity, degree):
+    m = [0] * arity
+    for _ in range(degree):
+        m[rng.randrange(arity)] += 1
+    return tuple(m)
+
+
+def all_monomials(arity, degree):
+    out = []
+    for combo in combinations_with_replacement(range(arity), degree):
+        m = [0] * arity
+        for v in combo:
+            m[v] += 1
+        out.append(tuple(m))
+    return out
+
+
+class TestCountStandardOracle:
+    """`_count_standard` against enumerating every monomial of degree p."""
+
+    def assert_matches_oracle(self, lead, arity, pmax):
+        want = [brute_force_standard_count(lead, arity, p) for p in range(pmax + 1)]
+        assert _count_standard(lead, arity, pmax) == want
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_monomial_sets(self, seed):
+        # seeded sets with repeats and non-minimal generators; pmax may
+        # fall below the largest generator degree
+        rng = random.Random(seed)
+        arity = 1 + seed % 6
+        lead = [
+            random_monomial(rng, arity, rng.randint(1, 5))
+            for _ in range(rng.randint(1, 8))
+        ]
+        lead += [rng.choice(lead) for _ in range(rng.randint(0, 2))]
+        self.assert_matches_oracle(lead, arity, rng.randint(0, 7))
+
+    def test_pure_powers(self):
+        self.assert_matches_oracle([(3, 0, 0), (0, 2, 0), (0, 0, 4)], 3, 9)
+        self.assert_matches_oracle([(2, 0, 0), (0, 5, 0), (1, 1, 1)], 3, 8)
+
+    def test_duplicate_and_non_minimal_generators(self):
+        lead = [(1, 1, 0), (1, 1, 0), (2, 1, 0), (1, 1, 3), (0, 2, 1), (0, 3, 1)]
+        self.assert_matches_oracle(lead, 3, 7)
+
+    def test_generators_above_pmax(self):
+        lead = [(2, 2, 0), (0, 0, 5), (1, 0, 1)]
+        self.assert_matches_oracle(lead, 3, 3)
+        assert _count_standard([(0, 4)], 2, 3) == [1, 2, 3, 4]
+
+    def test_empty_set_counts_all_monomials(self):
+        for n in range(1, 7):
+            assert _count_standard([], n, 6) == [comb(p + n - 1, n - 1) for p in range(7)]
+
+    def test_constant_monomial_counts_nothing(self):
+        assert _count_standard([(0, 0, 0), (1, 0, 0)], 3, 4) == [0] * 5
+
+    def test_large_exponent(self):
+        lead = [(130, 0), (3, 2)]
+        self.assert_matches_oracle(lead, 2, 133)
+        self.assert_matches_oracle([(128, 1), (1, 129)], 2, 131)
+
+    def test_all_quadrics_in_forty_variables(self):
+        assert _count_standard(all_monomials(40, 2), 40, 3) == [1, 40, 0, 0]
+
+    @pytest.mark.parametrize("n, d", [(1, 7), (4, 5), (6, 4), (9, 3), (12, 2)])
+    def test_power_of_maximal_ideal(self, n, d):
+        want = [comb(p + n - 1, n - 1) if p < d else 0 for p in range(d + 3)]
+        assert _count_standard(all_monomials(n, d), n, d + 2) == want
+
+
+def subset_krull_oracle(ideal):
+    """Oracle: the largest variable subset S such that no leading monomial
+    of the grevlex basis is supported inside S (2^n subsets)."""
+    n = ideal.ring.arity
+    supports = [
+        frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
+        for g in ideal.groebner_basis()
+    ]
+    best = 0
+    for mask in range(1 << n):
+        size = mask.bit_count()
+        if size <= best:
+            continue
+        subset = {i for i in range(n) if mask >> i & 1}
+        if all(not s <= subset for s in supports):
+            best = size
+    return best
+
+
 class TestKrull:
     def test_zero_and_maximal(self):
         r = ring("x", "y", "z")
-        assert krull_dim(Ideal(r, [])) == 3
-        assert krull_dim(make_ideal(r, "x", "y", "z")) == 0
+        for I, want in ((Ideal(r, []), 3), (make_ideal(r, "x", "y", "z"), 0)):
+            assert krull_dim(I) == want == subset_krull_oracle(I)
 
     def test_unit_ideal_rejected(self):
         r = ring("x", "y")
@@ -233,7 +327,8 @@ class TestKrull:
 
     def test_hypersurface(self):
         r = ring("x", "y", "z")
-        assert krull_dim(make_ideal(r, "x^2 + y^2 + z^2")) == 2
+        I = make_ideal(r, "x^2 + y^2 + z^2")
+        assert krull_dim(I) == 2 == subset_krull_oracle(I)
 
     def test_bilinear_nilcone_brute_force(self):
         # entries of a 2x2 product of two 2x2 matrices: dimension 5,
@@ -246,13 +341,21 @@ class TestKrull:
                 gens.append(
                     parse_poly(f"b{i}1*a1{j} + b{i}2*a2{j}", r)
                 )
-        assert krull_dim(Ideal(r, gens)) == 5 == oracle
+        I = Ideal(r, gens)
+        assert krull_dim(I) == 5 == oracle == subset_krull_oracle(I)
+
+    def test_matches_subset_scan_on_catalogued_ideals(self):
+        checked = 0
+        for name in case_names():
+            for which, ideal in sorted(get_case(name).ideals.items()):
+                if ideal.ring.arity <= 16:
+                    assert krull_dim(ideal) == subset_krull_oracle(ideal), (name, which)
+                    checked += 1
+        assert checked >= 31
 
 
 def test_product_generator_count_with_repetition():
     # squaring an ideal with eight generators yields the 36 unordered
     # pairwise products (with repetition), before any interreduction
-    from classinv.catalog import get_case
-
     I = get_case("gl2").ideal("I")
     assert len(ideal_product(I, I).generators) == 36
