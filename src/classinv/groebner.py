@@ -2,13 +2,25 @@
 
 The public surface works with `Polynomial` values (exact Fractions).
 Internally the Buchberger loop uses integer-primitive coefficient
-vectors and monomials packed into single integers (8 bits per variable)
-so that divisibility tests are one machine-word-ish operation; scaling a
-generator never changes the ideal, so every contract here is
-scale-invariant.
+vectors and monomials packed into single integers; scaling a generator
+never changes the ideal, so every contract here is scale-invariant.
+
+A packed monomial gives each variable an 8-bit field, the first variable
+lowest: a 7-bit exponent (0..127) under a guard bit that stays clear.
+Word-level arithmetic then never unpacks (packed monomials as in
+Monagan-Pearce 2007).  `b | guard` minus `a` keeps every guard bit iff
+a divides b; the surviving guard bits of `(a | guard) - b`, spread over
+their fields, select the larger exponent of each field, which gives
+the lcm.  Order keys are integers on the packed value: grevlex is
+`(degree << 8n) - m`, a weighted order puts `-w.m` above that, and lex
+reverses the byte order.  An exponent of 128 or more raises
+`OverflowError`: in a leading or reduced monomial and in any term of an
+element entering the basis.
 
 Pair selection follows the normal strategy (smallest lcm degree first)
-with the Gebauer-Moeller refinements of Buchberger's two criteria.  For
+with the Gebauer-Moeller refinements of Buchberger's two criteria; the
+M criterion tests each new lcm only against the minimal lcms of lower
+degree, the only ones that can divide it properly.  For
 homogeneous input a degree bound `d` truncates the computation: all
 S-pairs of degree <= d are processed, which makes the leading-term ideal
 complete in degrees <= d, enough for Hilbert-function queries up to d.
@@ -21,6 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (
@@ -34,62 +47,102 @@ from .poly import (
 )
 
 _SHIFT = 8
-_FIELD = (1 << _SHIFT) - 1
+_GUARD = 1 << (_SHIFT - 1)  # top bit of each field; an exponent stays below it
+_EXPONENT_OVERFLOW = f"exponent {_GUARD} or more does not fit a packed monomial"
 
 
 def _pack(m: Monomial) -> int:
-    out = 0
-    for i, e in enumerate(m):
-        if e >= 1 << (_SHIFT - 1):
-            raise OverflowError("exponent too large for packed monomials")
-        out |= e << (_SHIFT * i)
-    return out
+    if any(e >= _GUARD for e in m):
+        raise OverflowError(_EXPONENT_OVERFLOW)
+    return int.from_bytes(bytes(m), "little")
 
 
 def _unpack(p: int, arity: int) -> Monomial:
-    return tuple((p >> (_SHIFT * i)) & _FIELD for i in range(arity))
+    return tuple(p.to_bytes(arity, "little"))
 
 
 def _guard_mask(arity: int) -> int:
-    g = 0
-    for i in range(arity):
-        g |= 1 << (_SHIFT * i + _SHIFT - 1)
-    return g
+    return int.from_bytes(bytes([_GUARD]) * arity, "little")
 
 
 def _order_sig(order: MonomialOrder):
     return (order.kind, order.weights)
 
 
+class _Memo(dict):
+    """A dict that fills a missing entry from `fn`; its bound `__getitem__`
+    is a key function that `max` and `sorted` call without a Python frame
+    once the entry exists."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, pm: int):
+        v = self[pm] = self.fn(pm)
+        return v
+
+
 class _Engine:
     """One Buchberger run over integer-primitive polynomials."""
 
     def __init__(self, ring: Ring, order: MonomialOrder):
+        n = self.arity = ring.arity
         self.ring = ring
-        self.arity = ring.arity
-        self.order = order
-        self.guard = _guard_mask(ring.arity)
-        self._keys: Dict[int, tuple] = {}
+        self.guard = _guard_mask(n)
+        self.degree = _Memo(lambda pm: sum(pm.to_bytes(n, "little"))).__getitem__
+        degree = self.degree
+        width = _SHIFT * n
+        if order.kind == "lex":
+            # byte reversal puts the first variable's field on top
+            key = lambda pm: int.from_bytes(pm.to_bytes(n, "little"), "big")
+        elif order.kind == "grevlex":
+            # degree first; within a degree, a smaller exponent of a later
+            # variable wins, i.e. the smaller packed integer
+            key = lambda pm: (degree(pm) << width) - pm
+        else:
+            # -w.m on top of the grevlex key, which spans fewer than 2**top values
+            w = order.weights
+            top = width + (n << _SHIFT).bit_length()
+
+            def key(pm: int) -> int:
+                wm = sum(map(mul, w, pm.to_bytes(n, "little")))
+                return (-wm << top) + (degree(pm) << width) - pm
+
+        self.key = _Memo(key).__getitem__
 
     # packed-monomial helpers ------------------------------------------
-
-    def key(self, pm: int) -> tuple:
-        k = self._keys.get(pm)
-        if k is None:
-            k = self.order.key(_unpack(pm, self.arity))
-            self._keys[pm] = k
-        return k
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
 
     def lcm(self, a: int, b: int) -> int:
-        ma = _unpack(a, self.arity)
-        mb = _unpack(b, self.arity)
-        return _pack(tuple(max(x, y) for x, y in zip(ma, mb)))
+        """Fieldwise max: the guard bit of a field survives a - b iff
+        a >= b there; spreading it over the field selects a or b."""
+        ge = (((a | self.guard) - b) & self.guard) >> (_SHIFT - 1)
+        mask = ge * (_GUARD - 1)
+        return (a & mask) | (b & ~mask)
 
-    def degree(self, pm: int) -> int:
-        return sum(_unpack(pm, self.arity))
+    def minimal(self, pms: Iterable[int]) -> List[int]:
+        """The distinct monomials that no other one divides, by degree.
+
+        A proper divisor has lower degree, so each monomial is tested
+        only against kept ones of lower degree.
+        """
+        divides, degree = self.divides, self.degree
+        lower: List[int] = []  # kept, below the current degree
+        level: List[int] = []  # kept, of the current degree
+        current = -1
+        for m in sorted(set(pms), key=degree):
+            if degree(m) != current:
+                current = degree(m)
+                lower += level
+                level = []
+            if not any(divides(k, m) for k in lower):
+                level.append(m)
+        return lower + level
 
     # polynomial helpers (dict packed-monomial -> int coeff) ------------
 
@@ -129,6 +182,8 @@ class _Engine:
         steps = 0
         while p:
             lm = max(p, key=key)
+            if lm & guard:
+                raise OverflowError(_EXPONENT_OVERFLOW)
             lmg = lm | guard
             hit = None
             for idx in range(nb):
@@ -172,6 +227,8 @@ class _Engine:
             for m in sorted(p, key=self.key, reverse=True):
                 if m == done_lt:
                     continue
+                if m & guard:
+                    raise OverflowError(_EXPONENT_OVERFLOW)
                 mg = m | guard
                 for idx in range(nb):
                     if (mg - blts[idx]) & guard == guard:
@@ -232,47 +289,33 @@ def _buchberger(
     seed.sort(key=lambda d: (eng.key(eng.lt(d)), sorted(d.items())))
 
     basis: List[Tuple[int, int, Dict[int, int]]] = []  # (lt, lc, dict)
-    pairs: List[Tuple[int, tuple, int, int]] = []  # heap: (lcm deg, lcm key, i, j)
+    pairs: List[Tuple[int, int, int, int]] = []  # heap: (lcm deg, lcm key, i, j)
     lcms: Dict[Tuple[int, int], int] = {}
-
-    def coprime(a: int, b: int) -> bool:
-        return eng.lcm(a, b) == a + b
+    guard, degree, lcm = eng.guard, eng.degree, eng.lcm
 
     def add_element(d: Dict[int, int]) -> None:
         """Gebauer-Moeller update of the pair set with the new element."""
+        if any(m & guard for m in d):
+            raise OverflowError(_EXPONENT_OVERFLOW)
         t = len(basis)
         nlt = eng.lt(d)
-        cand = []
-        for i, (ilt, _, _) in enumerate(basis):
-            cand.append((i, eng.lcm(ilt, nlt)))
-        keep: List[Tuple[int, int]] = []
-        for idx, (i, l) in enumerate(cand):
-            drop = False
-            for jdx, (j, lj) in enumerate(cand):
-                if i == j:
-                    continue
-                if lj == l and jdx < idx:
-                    drop = True  # duplicate lcm: keep first
-                    break
-                if lj != l and eng.divides(lj, l):
-                    drop = True
-                    break
-            if not drop:
-                keep.append((i, l))
-        # Buchberger's product criterion
-        keep = [(i, l) for (i, l) in keep if not coprime(basis[i][0], nlt)]
+        cand = [lcm(b[0], nlt) for b in basis]
+        first: Dict[int, int] = {}
+        for i, l in enumerate(cand):
+            first.setdefault(l, i)  # duplicate lcm: keep the first pair
+        # M criterion: keep the minimal lcms; then Buchberger's product
+        # criterion drops pairs with coprime leading terms
+        keep = sorted(
+            first[l] for l in eng.minimal(first) if l != basis[first[l]][0] + nlt
+        )
         # chain criterion against existing pairs
-        new_pairs = []
         for (i, j), l in list(lcms.items()):
-            if (
-                eng.divides(nlt, l)
-                and eng.lcm(basis[i][0], nlt) != l
-                and eng.lcm(basis[j][0], nlt) != l
-            ):
+            if ((l | guard) - nlt) & guard == guard and cand[i] != l and cand[j] != l:
                 del lcms[(i, j)]  # superseded; skip when popped
-        for i, l in keep:
+        for i in keep:
+            l = cand[i]
             lcms[(i, t)] = l
-            heapq.heappush(pairs, (eng.degree(l), eng.key(l), i, t))
+            heapq.heappush(pairs, (degree(l), eng.key(l), i, t))
         basis.append((nlt, d[nlt], d))
 
     for d in seed:
@@ -296,18 +339,9 @@ def _buchberger(
             add_element(eng.strip_content(s))
 
     # minimalize: drop elements whose leading term another element divides
-    keep_idx = []
-    for i, (ilt, _, _) in enumerate(basis):
-        redundant = False
-        for j, (jlt, _, _) in enumerate(basis):
-            if i == j:
-                continue
-            if eng.divides(jlt, ilt) and (jlt != ilt or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep_idx.append(i)
-    minimal = [basis[i] for i in keep_idx]
+    # (leading terms are distinct: each element enters top-reduced)
+    kept = set(eng.minimal(b[0] for b in basis))
+    minimal = [b for b in basis if b[0] in kept]
     # inter-reduce tails
     reduced: List[Polynomial] = []
     for i, entry in enumerate(minimal):
@@ -334,6 +368,7 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self._gb: Dict[tuple, List[Polynomial]] = {}
+        # Hilbert counts per order; the affine series numerator under _AFFINE
         self._std_counts: Dict[tuple, List[int]] = {}
 
     # ---- structure -----------------------------------------------------
@@ -469,12 +504,22 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
 
 
 def _minimal_monomials(monomials: Iterable[Monomial]) -> List[Monomial]:
-    ms = sorted(set(monomials), key=sum)
-    out: List[Monomial] = []
-    for m in ms:
-        if not any(monomial_divides(g, m) for g in out):
-            out.append(m)
-    return out
+    """The minimal monomials under divisibility, in ascending degree.
+
+    A proper divisor has lower degree, and the set merges equal ones, so
+    each monomial is tested only against kept ones of lower degree.
+    """
+    lower: List[Monomial] = []  # kept, below the current degree
+    level: List[Monomial] = []  # kept, of the current degree
+    current = -1
+    for m in sorted(set(monomials), key=sum):
+        if sum(m) != current:
+            current = sum(m)
+            lower += level
+            level = []
+        if not any(monomial_divides(g, m) for g in lower):
+            level.append(m)
+    return lower + level
 
 
 def _hilbert_numerator(gens: List[Monomial]) -> List[int]:
@@ -536,7 +581,12 @@ def _count_standard(
     generators, not the number of standard monomials.
     """
     gens = _minimal_monomials(m for m in lead if sum(m) <= pmax)
-    counts = (_hilbert_numerator(gens) + [0] * (pmax + 1))[: pmax + 1]
+    return _counts_from_numerator(_hilbert_numerator(gens), arity, pmax)
+
+
+def _counts_from_numerator(num: List[int], arity: int, pmax: int) -> List[int]:
+    """Coefficients of t^0..t^pmax in N(t)/(1-t)^arity."""
+    counts = (num + [0] * (pmax + 1))[: pmax + 1]
     for _ in range(arity):
         counts = list(accumulate(counts))
     return counts
@@ -558,17 +608,27 @@ def hilbert_function(ideal: Ideal, p: int, order: MonomialOrder = GREVLEX) -> in
     return cached[p]
 
 
+_AFFINE = ("affine", None)  # `_std_counts` key; no order kind is "affine"
+
+
 def affine_hilbert_function(ideal: Ideal, d: int) -> int:
     """Number of standard monomials of degree <= d under grevlex.
 
     For an arbitrary (possibly inhomogeneous) ideal this is the dimension
     of the degree-<=d filtration of ring/ideal, because grevlex refines
     total degree.  Used as the flatness witness for the torus families.
+    The Hilbert-series numerator of the whole leading-term ideal is
+    computed once per ideal and kept in `_std_counts`; every d reads its
+    count off it.
     """
-    basis = ideal.groebner_basis(GREVLEX)
-    lead = [g.leading_monomial(GREVLEX) for g in basis]
-    counts = _count_standard(lead, ideal.ring.arity, d)
-    return sum(counts)
+    num = ideal._std_counts.get(_AFFINE)
+    if num is None:
+        basis = ideal.groebner_basis(GREVLEX)
+        num = _hilbert_numerator(
+            _minimal_monomials(g.leading_monomial(GREVLEX) for g in basis)
+        )
+        ideal._std_counts[_AFFINE] = num
+    return _counts_from_numerator(num, ideal.ring.arity + 1, d)[d]
 
 
 def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:

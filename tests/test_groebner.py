@@ -223,6 +223,23 @@ class TestHilbert:
         assert affine_hilbert_function(I, 2) == 4
         assert affine_hilbert_function(I, 9) == 4
 
+    def test_affine_counts_from_one_numerator(self, monkeypatch):
+        import classinv.groebner as gb
+
+        calls = []
+        real = gb._hilbert_numerator
+        monkeypatch.setattr(gb, "_hilbert_numerator", lambda g: calls.append(1) or real(g))
+        r = ring("x", "y", "z")
+        I = make_ideal(r, "x^2 - y", "y*z^2 - x + 1", "z^3 - x*y")
+        lead = [g.leading_monomial() for g in groebner_basis(I)]
+        want = [
+            sum(brute_force_standard_count(lead, 3, p) for p in range(d + 1))
+            for d in range(9)
+        ]
+        assert [affine_hilbert_function(I, d) for d in range(9)] == want
+        assert affine_hilbert_function(I, 3) == want[3]
+        assert len(calls) == 1
+
 
 def random_monomial(rng, arity, degree):
     m = [0] * arity
