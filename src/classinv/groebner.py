@@ -24,6 +24,15 @@ degree, the only ones that can divide it properly.  For
 homogeneous input a degree bound `d` truncates the computation: all
 S-pairs of degree <= d are processed, which makes the leading-term ideal
 complete in degrees <= d, enough for Hilbert-function queries up to d.
+
+A run (`_Run`) stops at the first live pair above the bound and keeps
+it in the heap, and each `Ideal` keeps its incomplete run per order, so
+a larger bound resumes instead of restarting.  On homogeneous input
+pairs leave the heap in order of lcm degree, so the run stopped at d is
+an exact prefix of the run to any larger bound: the same pairs, chain
+deletions and basis indices, hence the same reduced basis as a fresh
+run to that bound.  When the heap empties the run is complete; only its
+reduced basis is kept, and Hilbert values read one series numerator.
 """
 
 from __future__ import annotations
@@ -276,25 +285,38 @@ class _Engine:
         return out
 
 
-def _buchberger(
-    ring: Ring,
-    gens: Sequence[Polynomial],
-    order: MonomialOrder,
-    degree_bound: Optional[int],
-) -> List[Polynomial]:
-    eng = _Engine(ring, order)
-    seed = [eng.from_poly(g) for g in gens if not g.is_zero()]
-    seed = [eng.strip_content(d) for d in seed]
-    # deterministic seeding: ascending leading monomial, then insertion order
-    seed.sort(key=lambda d: (eng.key(eng.lt(d)), sorted(d.items())))
+class _Run:
+    """A Buchberger run that stops at a degree bound and resumes from there.
 
-    basis: List[Tuple[int, int, Dict[int, int]]] = []  # (lt, lc, dict)
-    pairs: List[Tuple[int, int, int, int]] = []  # heap: (lcm deg, lcm key, i, j)
-    lcms: Dict[Tuple[int, int], int] = {}
-    guard, degree, lcm = eng.guard, eng.degree, eng.lcm
+    It holds the unreduced basis, the pair heap and the live pairs.
+    `advance(bound)` processes every pair of lcm degree <= bound and
+    leaves the rest in the heap.  On homogeneous input the heap pops
+    pairs in order of lcm degree, so a run advanced to p and then to q
+    makes exactly the steps of a fresh run advanced to q: the same
+    pairs, the same chain deletions, the same basis indices.
+    """
 
-    def add_element(d: Dict[int, int]) -> None:
+    def __init__(self, ring: Ring, gens: Sequence[Polynomial], order: MonomialOrder):
+        self.order = order
+        eng = self.eng = _Engine(ring, order)
+        self.basis: List[Tuple[int, int, Dict[int, int]]] = []  # (lt, lc, dict)
+        self.pairs: List[Tuple[int, int, int, int]] = []  # heap: (lcm deg, lcm key, i, j)
+        self.lcms: Dict[Tuple[int, int], int] = {}  # live pairs
+        self._reduced: List[Polynomial] = []
+        self._reduced_size = 0  # basis length when `_reduced` was made
+        seed = [eng.from_poly(g) for g in gens if not g.is_zero()]
+        seed = [eng.strip_content(d) for d in seed]
+        # deterministic seeding: ascending leading monomial, then insertion order
+        seed.sort(key=lambda d: (eng.key(eng.lt(d)), sorted(d.items())))
+        for d in seed:
+            d = eng.top_reduce(dict(d), self.basis)
+            if d:
+                self.add_element(eng.strip_content(d))
+
+    def add_element(self, d: Dict[int, int]) -> None:
         """Gebauer-Moeller update of the pair set with the new element."""
+        eng, basis, lcms = self.eng, self.basis, self.lcms
+        guard, lcm = eng.guard, eng.lcm
         if any(m & guard for m in d):
             raise OverflowError(_EXPONENT_OVERFLOW)
         t = len(basis)
@@ -315,49 +337,67 @@ def _buchberger(
         for i in keep:
             l = cand[i]
             lcms[(i, t)] = l
-            heapq.heappush(pairs, (degree(l), eng.key(l), i, t))
+            heapq.heappush(self.pairs, (eng.degree(l), eng.key(l), i, t))
         basis.append((nlt, d[nlt], d))
 
-    for d in seed:
-        d = eng.top_reduce(dict(d), basis)
-        if d:
-            d = eng.strip_content(d)
-            add_element(d)
+    def advance(self, degree_bound: Optional[int]) -> bool:
+        """Process the pairs of lcm degree <= degree_bound (all if None).
 
-    while pairs:
-        deg, _, i, j = heapq.heappop(pairs)
-        if (i, j) not in lcms:
-            continue
-        del lcms[(i, j)]
-        if degree_bound is not None and deg > degree_bound:
-            continue
-        s = eng.spoly(basis[i], basis[j])
-        if not s:
-            continue
-        s = eng.top_reduce(s, basis)
-        if s:
-            add_element(eng.strip_content(s))
+        The first live pair above the bound stays in the heap.  Returns
+        True when no pair is left: the basis is then complete.
+        """
+        eng, basis, pairs, lcms = self.eng, self.basis, self.pairs, self.lcms
+        while pairs:
+            deg, _, i, j = pairs[0]
+            if (i, j) not in lcms:
+                heapq.heappop(pairs)
+                continue
+            if degree_bound is not None and deg > degree_bound:
+                return False
+            heapq.heappop(pairs)
+            del lcms[(i, j)]
+            s = eng.spoly(basis[i], basis[j])
+            if not s:
+                continue
+            s = eng.top_reduce(s, basis)
+            if s:
+                self.add_element(eng.strip_content(s))
+        return True
 
-    # minimalize: drop elements whose leading term another element divides
-    # (leading terms are distinct: each element enters top-reduced)
-    kept = set(eng.minimal(b[0] for b in basis))
-    minimal = [b for b in basis if b[0] in kept]
-    # inter-reduce tails
-    reduced: List[Polynomial] = []
-    for i, entry in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        d = eng.full_reduce(dict(entry[2]), others)
-        reduced.append(eng.to_poly(d).monic(order))
-    reduced.sort(key=lambda p: order.key(p.leading_monomial(order)))
-    return reduced
+    def reduced(self) -> List[Polynomial]:
+        """The reduced basis of the elements so far; recomputed only when
+        the basis has grown."""
+        if self._reduced_size == len(self.basis):
+            return self._reduced
+        eng, order = self.eng, self.order
+        # minimalize: drop elements whose leading term another element divides
+        # (leading terms are distinct: each element enters top-reduced)
+        kept = set(eng.minimal(b[0] for b in self.basis))
+        minimal = [b for b in self.basis if b[0] in kept]
+        # inter-reduce tails
+        reduced: List[Polynomial] = []
+        for i, entry in enumerate(minimal):
+            others = minimal[:i] + minimal[i + 1 :]
+            d = eng.full_reduce(dict(entry[2]), others)
+            reduced.append(eng.to_poly(d).monic(order))
+        reduced.sort(key=lambda p: order.key(p.leading_monomial(order)))
+        self._reduced, self._reduced_size = reduced, len(self.basis)
+        return reduced
 
 
 class Ideal:
     """An ideal given by generators, with cached reduced Groebner bases.
 
-    The cache is keyed by (order, degree bound); a basis computed with a
-    larger bound answers any query at a smaller one.  Populated lazily,
-    at most once per key; instances are otherwise immutable.
+    `_gb` maps (order, degree bound) to the reduced basis a query
+    computed; the unbounded key answers every query of its order, and a
+    basis computed with a larger bound answers any query at a smaller
+    one.  Otherwise a bounded query resumes the order's Buchberger run
+    (`_Run`), which stopped at the last bound without dropping the pairs
+    above it.  On homogeneous input a run stopped at p is an exact prefix
+    of the run to any larger bound, so every bound gets the basis a fresh
+    run to that bound would give.  Once a run's pair heap empties, only
+    its reduced basis is kept (`_complete`) and it answers every larger
+    bound.  Instances are otherwise immutable.
     """
 
     def __init__(self, ring: Ring, generators: Iterable[Polynomial]):
@@ -368,8 +408,12 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self._gb: Dict[tuple, List[Polynomial]] = {}
-        # Hilbert counts per order; the affine series numerator under _AFFINE
+        self._runs: Dict[tuple, _Run] = {}  # per order, while incomplete
+        self._complete: Dict[tuple, List[Polynomial]] = {}  # per order
+        # Hilbert counts of an incomplete run, per order
         self._std_counts: Dict[tuple, List[int]] = {}
+        # Hilbert-series numerator of the complete leading-term ideal, per order
+        self._numerators: Dict[tuple, List[int]] = {}
 
     # ---- structure -----------------------------------------------------
 
@@ -400,7 +444,14 @@ class Ideal:
             ]
             if usable:
                 return self._gb[(sig, min(usable))]
-        basis = _buchberger(self.ring, self.generators, order, degree_bound)
+        basis = self._complete.get(sig)
+        if basis is None:
+            run = self._runs.pop(sig, None) or _Run(self.ring, self.generators, order)
+            if run.advance(degree_bound):
+                basis = self._complete[sig] = run.reduced()
+            else:
+                self._runs[sig] = run
+                basis = run.reduced()
         self._gb[(sig, degree_bound)] = basis
         return basis
 
@@ -593,22 +644,44 @@ def _counts_from_numerator(num: List[int], arity: int, pmax: int) -> List[int]:
 
 
 def hilbert_function(ideal: Ideal, p: int, order: MonomialOrder = GREVLEX) -> int:
-    """Dimension of the degree-p part of ring/ideal (ideal homogeneous)."""
+    """Dimension of the degree-p part of ring/ideal (ideal homogeneous).
+
+    While the order's run is incomplete, the counts come from the basis
+    truncated at p; once it is complete, from the one Hilbert-series
+    numerator of the whole leading-term ideal.
+    """
     if p < 0:
         raise ValueError("degree must be nonnegative")
     if not ideal.is_homogeneous():
         raise ValueError("hilbert_function requires homogeneous generators")
     sig = _order_sig(order)
-    cached = ideal._std_counts.get(sig)
-    if cached is None or len(cached) <= p:
+    if sig not in ideal._complete:
+        cached = ideal._std_counts.get(sig)
+        if cached is not None and len(cached) > p:
+            return cached[p]
         basis = ideal.groebner_basis(order, degree_bound=p)
-        lead = [g.leading_monomial(order) for g in basis]
-        cached = _count_standard(lead, ideal.ring.arity, p)
-        ideal._std_counts[sig] = cached
-    return cached[p]
+        if sig not in ideal._complete:
+            lead = [g.leading_monomial(order) for g in basis]
+            cached = ideal._std_counts[sig] = _count_standard(lead, ideal.ring.arity, p)
+            return cached[p]
+    return _counts_from_numerator(_numerator(ideal, order), ideal.ring.arity, p)[p]
 
 
-_AFFINE = ("affine", None)  # `_std_counts` key; no order kind is "affine"
+def _numerator(ideal: Ideal, order: MonomialOrder) -> List[int]:
+    """N(t) of the whole leading-term ideal under `order`, computed once per
+    ideal and order.  A run that bounded queries completed supplies its
+    basis without an unbounded query, which would make the basis cache
+    answer smaller bounds with the complete basis."""
+    sig = _order_sig(order)
+    num = ideal._numerators.get(sig)
+    if num is None:
+        basis = ideal._complete.get(sig)
+        if basis is None:
+            basis = ideal.groebner_basis(order)
+        num = ideal._numerators[sig] = _hilbert_numerator(
+            _minimal_monomials(g.leading_monomial(order) for g in basis)
+        )
+    return num
 
 
 def affine_hilbert_function(ideal: Ideal, d: int) -> int:
@@ -617,18 +690,9 @@ def affine_hilbert_function(ideal: Ideal, d: int) -> int:
     For an arbitrary (possibly inhomogeneous) ideal this is the dimension
     of the degree-<=d filtration of ring/ideal, because grevlex refines
     total degree.  Used as the flatness witness for the torus families.
-    The Hilbert-series numerator of the whole leading-term ideal is
-    computed once per ideal and kept in `_std_counts`; every d reads its
-    count off it.
+    Every d reads its count off the one grevlex numerator of the ideal.
     """
-    num = ideal._std_counts.get(_AFFINE)
-    if num is None:
-        basis = ideal.groebner_basis(GREVLEX)
-        num = _hilbert_numerator(
-            _minimal_monomials(g.leading_monomial(GREVLEX) for g in basis)
-        )
-        ideal._std_counts[_AFFINE] = num
-    return _counts_from_numerator(num, ideal.ring.arity + 1, d)[d]
+    return _counts_from_numerator(_numerator(ideal, GREVLEX), ideal.ring.arity + 1, d)[d]
 
 
 def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
@@ -642,12 +706,9 @@ def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
     n = ideal.ring.arity
     if ideal.is_zero():
         return n
-    basis = ideal.groebner_basis(order)
-    if any(p.degree() == 0 for p in basis):
+    if any(p.degree() == 0 for p in ideal.groebner_basis(order)):
         raise ValueError("unit ideal has no Krull dimension")
-    num = _hilbert_numerator(
-        _minimal_monomials(g.leading_monomial(order) for g in basis)
-    )
+    num = _numerator(ideal, order)
     m = 0
     while sum(num) == 0:
         num = list(accumulate(num))[:-1]
@@ -656,7 +717,8 @@ def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
 
 
 def certify_gb(basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> bool:
-    """Buchberger certificate: every S-pair reduces to zero against the basis."""
+    """Buchberger certificate: every S-pair whose leading terms are not
+    coprime reduces to zero against the basis (a coprime pair always does)."""
     polys = [p for p in basis if not p.is_zero()]
     if not polys:
         raise ValueError("empty basis")
@@ -668,6 +730,9 @@ def certify_gb(basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> b
         entries.append((eng.lt(d), d[eng.lt(d)], d))
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
+            a, b = entries[i][0], entries[j][0]
+            if eng.lcm(a, b) == a + b:
+                continue  # coprime leading terms: Buchberger's product criterion
             s = eng.spoly(entries[i], entries[j])
             if s and eng.top_reduce(s, entries):
                 return False

@@ -87,11 +87,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of x^a / x^b (caller guarantees divisibility)."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 class MonomialOrder:
     """A total multiplicative order on monomials.
 

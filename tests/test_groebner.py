@@ -19,7 +19,7 @@ from classinv.groebner import (
     krull_dim,
     normal_form,
 )
-from classinv.poly import GREVLEX, LEX, parse_poly, ring
+from classinv.poly import GREVLEX, LEX, parse_poly, ring, serialize, weighted_order
 
 
 def P(text, r):
@@ -75,6 +75,91 @@ class TestBasis:
         r = ring("x", "y")
         assert not certify_gb([P("x^2 - y", r), P("x", r)])
         assert certify_gb([P("x", r), P("y", r)])
+
+
+# catalogued homogeneous ideals and the order each is resumed under
+RESUME_CASES = [
+    ("gl3", "I", GREVLEX),
+    ("o3-I2", "J", GREVLEX),
+    ("o3-I2", "I2", GREVLEX),
+    ("gl2", "I", weighted_order([3, -1, 0, 2, -2, 1, 0, -1])),
+]
+
+
+def sequences(bounds):
+    return {
+        "ascending": list(bounds),
+        "descending": list(reversed(bounds)),
+        "shuffled": random.Random(6).sample(list(bounds), len(bounds)),
+    }
+
+
+def fresh(ideal):
+    """A copy with empty caches; catalogued ideals are shared between tests."""
+    return Ideal(ideal.ring, ideal.generators)
+
+
+class TestResumedRun:
+    """A bounded query resumes the order's run; each answer must still be
+    the basis a fresh run gives at the bound that answers the query."""
+
+    @pytest.mark.parametrize("case, which, order", RESUME_CASES)
+    def test_bases_equal_fresh_runs(self, case, which, order):
+        source = get_case(case).ideal(which)
+        want = {
+            p: [serialize(g) for g in fresh(source).groebner_basis(order, p)]
+            for p in range(10)
+        }
+        for name, bounds in sequences(range(10)).items():
+            ideal = fresh(source)
+            computed = []
+            for p in bounds:
+                # the cache answers with the smallest computed bound >= p;
+                # otherwise the run resumes to p itself
+                answering = min((b for b in computed if b >= p), default=None)
+                if answering is None:
+                    answering = p
+                    computed.append(p)
+                got = [serialize(g) for g in ideal.groebner_basis(order, p)]
+                assert got == want[answering], (name, p)
+            if name == "ascending":
+                assert len(ideal._gb) == 10
+
+    @pytest.mark.parametrize("case, which, order", RESUME_CASES)
+    def test_sweep_makes_no_more_spolys_than_one_run(self, case, which, order, monkeypatch):
+        import classinv.groebner as gb
+
+        calls = []
+        real = gb._Engine.spoly
+        monkeypatch.setattr(gb._Engine, "spoly", lambda *a: calls.append(1) or real(*a))
+        source = get_case(case).ideal(which)
+        fresh(source).groebner_basis(order)
+        unbounded = len(calls)
+        ideal = fresh(source)
+        for p in range(10):
+            ideal.groebner_basis(order, p)
+        assert 0 < len(calls) - unbounded <= unbounded
+
+    def test_stops_above_the_bound_and_completes(self):
+        # the heap keeps the degree-4 pair while the bound is 3
+        r = ring("x", "y", "z")
+        I = make_ideal(r, "x^2 - y*z", "x*y^2 + z^3")
+        assert len(I.groebner_basis(GREVLEX, 3)) == 2
+        assert I._runs and not I._complete
+        full = I.groebner_basis(GREVLEX, 9)
+        assert not I._runs and [str(g) for g in full] == [
+            str(g) for g in fresh(I).groebner_basis()
+        ]
+
+    def test_hilbert_in_any_order_matches_truncated_counts(self):
+        source = get_case("o3-I2").ideal("I2")
+        want = []
+        for p in range(10):
+            lead = [g.leading_monomial() for g in fresh(source).groebner_basis(GREVLEX, p)]
+            want.append(_count_standard(lead, source.ring.arity, p)[p])
+        for name, bounds in sequences(range(10)).items():
+            ideal = fresh(source)
+            assert {p: hilbert_function(ideal, p) for p in bounds} == dict(enumerate(want)), name
 
 
 class TestNormalForm:

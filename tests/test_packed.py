@@ -137,6 +137,12 @@ class TestExponentOverflow:
         with pytest.raises(OverflowError):
             certify_gb(basis, LEX)
 
+    def test_certificate_skips_coprime_pairs(self):
+        # the leading terms x and y^127 are coprime: the product criterion
+        # skips their S-pair, whose reduction would need y^128
+        r = ring("x", "y")
+        assert certify_gb([parse_poly("x - y", r), parse_poly("y^127 - y", r)], GREVLEX)
+
     def test_exponent_127_computes(self):
         r = ring("x", "y")
         I = Ideal(r, [parse_poly("x^127 - y", r), parse_poly("x - y", r)])

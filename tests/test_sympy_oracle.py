@@ -1,13 +1,23 @@
 """Reduced Groebner bases against sympy's `groebner` over QQ on seeded
 random small ideals; weighted orders, which sympy lacks, are checked by
-the Buchberger certificate and ideal equality with the grevlex basis."""
+the Buchberger certificate and ideal equality with the grevlex basis.
+Hilbert values and ideal membership are checked against counts from
+sympy's leading terms and `GroebnerBasis.contains`."""
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from classinv.groebner import Ideal, certify_gb, groebner_basis, ideal_equal
+from classinv.groebner import (
+    Ideal,
+    certify_gb,
+    groebner_basis,
+    hilbert_function,
+    ideal_equal,
+    normal_form,
+)
 from classinv.poly import GREVLEX, LEX, Polynomial, ring, weighted_order
 
 sympy = pytest.importorskip("sympy")
@@ -80,3 +90,62 @@ def test_weighted_basis_certifies_and_spans(seed, homogeneous):
     basis = groebner_basis(I, order)
     assert certify_gb(basis, order)
     assert ideal_equal(Ideal(I.ring, basis), Ideal(I.ring, groebner_basis(I, GREVLEX)))
+
+
+def sympy_basis(I, symbols):
+    return sympy.groebner(
+        [to_sympy(g, symbols) for g in I.generators], *symbols, order="grevlex", domain=sympy.QQ
+    )
+
+
+def monomials(arity, degree):
+    for combo in combinations_with_replacement(range(arity), degree):
+        yield tuple(combo.count(v) for v in range(arity))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hilbert_function_matches_sympy_leading_terms(seed):
+    # a shuffled bound sequence makes the run stop, resume and read cached counts
+    I = random_ideal(seed, homogeneous=True)
+    symbols = sympy.symbols(I.ring.variables)
+    lead = [g.monoms(order="grevlex")[0] for g in sympy_basis(I, symbols).polys]
+    bounds = random.Random(seed).sample(range(7), 7)
+    for p in bounds:
+        want = sum(
+            not any(all(a <= b for a, b in zip(l, m)) for l in lead)
+            for m in monomials(I.ring.arity, p)
+        )
+        assert hilbert_function(I, p) == want, p
+
+
+def random_form(rng, r, degree):
+    """A homogeneous polynomial of the given degree with 1-3 terms."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        m = [0] * r.arity
+        for _ in range(degree):
+            m[rng.randrange(r.arity)] += 1
+        terms[tuple(m)] = Fraction(rng.randint(-4, 4) or 1)
+    return Polynomial(r, terms)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_membership_matches_sympy_contains(seed):
+    # a member of each degree in shuffled order, alone and plus a random
+    # form, takes the degree-bounded basis; adding a lower-degree part
+    # makes the query inhomogeneous, which takes the complete basis
+    I = random_ideal(seed, homogeneous=True)
+    r = I.ring
+    symbols = sympy.symbols(r.variables)
+    G = sympy_basis(I, symbols)
+    rng = random.Random(500 + seed)
+    homogeneous, mixed = [], []
+    for degree in rng.sample(range(1, 6), 5):
+        member = r.zero()
+        for g in I.generators:
+            if g.degree() <= degree:
+                member = member + g * random_form(rng, r, degree - g.degree())
+        homogeneous += [member, member + random_form(rng, r, degree)]
+        mixed.append(member + random_form(rng, r, degree - 1))
+    for f in homogeneous + mixed:
+        assert normal_form(f, I).is_zero() == G.contains(to_sympy(f, symbols)), str(f)
