@@ -64,6 +64,36 @@ class IndependenceData:
     citation: str
 
 
+@dataclass(frozen=True)
+class CheckSpec:
+    """One declared check: a kind that `checks` interprets, and the keyword
+    arguments of that kind (ideal names, `expected` keys, degree ranges,
+    bounds)."""
+
+    kind: str
+    args: Dict[str, object]
+
+
+def check(kind: str, **args) -> CheckSpec:
+    return CheckSpec(kind, args)
+
+
+NILCONE_KRULL = check("krull", name="nilcone-krull", ideal="J", expected="nilcone-dim")
+MOMENT_KRULL = check("krull", name="moment-krull", ideal="moment", expected="moment-dim")
+# compares the catalogued label with itself (ROADMAP item 1)
+REDUCTION_ORBIT = check("reduction-orbit")
+
+
+def _tangent_suite(bounds: Tuple[int, int]) -> List[CheckSpec]:
+    """The four checks that read the case's tangent report."""
+    return [
+        check("generates"),
+        check("relations"),
+        check("rank"),
+        check("tangent-bounds", bounds=bounds),
+    ]
+
+
 @dataclass
 class CaseSpec:
     name: str
@@ -79,14 +109,14 @@ class CaseSpec:
     independence: Optional[IndependenceData] = None
     components: List[Tuple[str, Ideal]] = field(default_factory=list)
     quotient_ring: Optional[Ring] = None  # reduced ambient for auxiliary Hilbert data
+    quotient_ideals: Dict[str, Ideal] = field(default_factory=dict)  # in quotient_ring
+    checks: List[CheckSpec] = field(default_factory=list)  # run in this order
 
     def ideal(self, which: str) -> Ideal:
-        try:
-            return self.ideals[which]
-        except KeyError:
-            raise UnsupportedIdeal(
-                f"case {self.name!r} has no catalogued ideal {which!r}"
-            ) from None
+        for table in (self.ideals, self.quotient_ideals):
+            if which in table:
+                return table[which]
+        raise UnsupportedIdeal(f"case {self.name!r} has no catalogued ideal {which!r}")
 
 
 class UnsupportedIdeal(KeyError):
@@ -152,6 +182,7 @@ def _make_bilinear_nilcone_case(name: str, n: int, n1: int, n2: int) -> CaseSpec
         nilcone_dim("GL", (n, n1, n2)),
         "nilcone dimension, closed form for the bilinear situation",
     )
+    case.checks = [NILCONE_KRULL]
     return case
 
 
@@ -253,6 +284,13 @@ def build_gl2() -> CaseSpec:
     case.expected["component-intersection"] = Expected(
         True, "fixed-point ideal equals the intersection of its four components"
     )
+    case.checks = [
+        check("hilbert", ideal="I", expected="hilbert-I", cap=8),
+        check("order-independence", ideal="I", top=3),
+        *_tangent_suite((4, 4)),
+        NILCONE_KRULL,
+        check("components"),
+    ]
     return case
 
 
@@ -386,6 +424,11 @@ def build_gl3() -> CaseSpec:
         lower_citation="twelve independent equivariant morphisms exhibited",
         rank_citation="seventeen independent pairings against the relation family",
     )
+    case.checks = [
+        check("hilbert", ideal="I", expected="hilbert-coeffs", cap=8, closed_form=True),
+        check("hilbert-weights", expected="hilbert-coeffs", cap=8),
+        *_tangent_suite((12, 12)),
+    ]
     return case
 
 
@@ -435,6 +478,13 @@ def build_o2() -> CaseSpec:
     case.expected["component-intersection"] = Expected(
         True, "fixed-point ideal vs the displayed two-component intersection"
     )
+    case.checks = [
+        check("hilbert", ideal="J", expected="hilbert-J-2", degree=2),
+        check("order-independence", ideal="I", top=4),
+        *_tangent_suite((3, 3)),
+        NILCONE_KRULL,
+        check("components"),
+    ]
     return case
 
 
@@ -649,6 +699,14 @@ def build_o3() -> CaseSpec:
         bounds=(7, 8),
         citation="seven independent morphism values; upper bound quoted from the source",
     )
+    case.checks = [
+        check("hilbert", ideal="J", expected="hilbert-J", top=5),
+        check("hilbert", ideal="I2", expected="hilbert-I2", top=5),
+        check("printed-basis"),
+        check("flat-limit", index=0),
+        check("tangent-independence"),
+        NILCONE_KRULL,
+    ]
     return case
 
 
@@ -656,6 +714,10 @@ def build_so3(which: str) -> CaseSpec:
     r = _triple_ring()
     P = lambda t: parse_poly(t, r)
     quadrics = _o3_quadrics(r)
+    xx, yy, zz, xy, xz, yz = quadrics
+    # f5 is the y.z pairing, f6 the x.z pairing, matching the relation list
+    f = [("f1", xx), ("f2", yy), ("f3", zz), ("f4", xy), ("f5", yz), ("f6", xz)]
+    named = dict(f)
     det = _det3(r)
     case = CaseSpec(
         name=f"so3-{which}",
@@ -667,8 +729,7 @@ def build_so3(which: str) -> CaseSpec:
     )
     case.ideals["J"] = Ideal(r, quadrics + [det])
     case.ideals["I1"] = Ideal(
-        r,
-        [P("x1"), P("x2"), P("x3"), quadrics[1], quadrics[2], quadrics[5]],
+        r, [P("x1"), P("x2"), P("x3"), named["f2"], named["f3"], named["f5"]]
     )
     i2 = [
         "x1^2 - x3^2", "x2^2", "x1*x2", "x2*x3", "x1*x3",
@@ -694,7 +755,10 @@ def build_so3(which: str) -> CaseSpec:
                 citation="one-parameter degeneration with column weights (-3,-1,-1)",
             )
         ]
-        case.quotient_ring = ring("y1", "y2", "y3", "z1", "z2", "z3")
+        quotient = case.quotient_ring = ring("y1", "y2", "y3", "z1", "z2", "z3")
+        case.quotient_ideals["J1"] = Ideal(
+            quotient, [named[n].map_ring(quotient) for n in ("f2", "f3", "f5")]
+        )
         case.expected["hilbert-J1"] = Expected(
             {0: 1, 1: 6, 2: 18, 3: 38, 4: 66, 5: 102, 6: 146},
             "quotient-plane Hilbert values; 4p^2 + 2 from degree one on",
@@ -703,12 +767,19 @@ def build_so3(which: str) -> CaseSpec:
         # generated by six elements because three of the natural nine are
         # redundant; the memberships below certify the redundancy
         case.expected["redundant-members"] = Expected(
-            ["f1", "f4", "f6"],
+            [(n, named[n]) for n in ("f1", "f4", "f6")],
             "three invariant quadrics already lie in the linear-coordinate ideal",
         )
         case.expected["tangent-dim"] = Expected(
-            6, "tangent dimension equals the minimal generator count"
+            (6, 6), "tangent dimension equals the minimal generator count"
         )
+        case.checks = [
+            check("hilbert", ideal="J1", expected="hilbert-J1", top=6),
+            check("printed-basis"),
+            check("flat-limit", index=0),
+            check("tangent-dim", expected="tangent-dim"),
+            check("flat-family", index=0, top=4, fibers=(1, 2, 3)),
+        ]
     else:
         case.degenerations = [
             DegenerationData(
@@ -718,11 +789,6 @@ def build_so3(which: str) -> CaseSpec:
                 citation="one-parameter degeneration with column weights (-3,-2,-2)",
             )
         ]
-        f = [
-            ("f1", quadrics[0]), ("f2", quadrics[1]), ("f3", quadrics[2]),
-            ("f4", quadrics[3]), ("f5", quadrics[5]), ("f6", quadrics[4]),
-        ]
-        # f5 is the y.z pairing, f6 the x.z pairing, matching the relation list
         # row j is the cross product of column pairs (x,y), (x,z), (y,z): phi{j}{k} is equivariant
         g = [
             ("g11", P("x2*y3 - x3*y2")), ("g12", P("x3*y1 - x1*y3")), ("g13", P("x1*y2 - x2*y1")),
@@ -767,6 +833,7 @@ def build_so3(which: str) -> CaseSpec:
             lower_citation="exhibited morphism family matching the stated tangent dimension",
             rank_citation="twelve independent pairings against the relation family",
         )
+        case.checks = [check("flat-limit", index=0), *_tangent_suite((8, 8))]
     return case
 
 
@@ -840,6 +907,11 @@ def build_sp4() -> CaseSpec:
         lower_citation="principal-component dimension lower bound",
         rank_citation="five independent pairings against the displayed relations",
     )
+    case.checks = [
+        check("hilbert", ideal="I", expected="hilbert-coeffs", cap=6, closed_form=True),
+        check("hilbert-weights", expected="hilbert-coeffs", cap=6),
+        *_tangent_suite((6, 6)),
+    ]
     return case
 
 
@@ -864,6 +936,13 @@ def build_sl(n: int, nprime: int) -> CaseSpec:
         fft=fft,
     )
     case.ideals["J"] = Ideal(r, fft)
+    case.expected["flatness-locus"] = Expected(
+        [1], "flat exactly over the open stratum when the quotient is singular"
+    )
+    case.checks = [
+        check("quotient-map", point=((1, 2, 0), (-1, 3, 5))),
+        check("flatness-locus", expected="flatness-locus"),
+    ]
     return case
 
 
@@ -887,7 +966,7 @@ def _minor(r: Ring, letter: str, rows: Sequence[int], cols: Sequence[int]) -> Po
     return out
 
 
-def build_glsym(n: int, d: int) -> CaseSpec:
+def build_glsym(n: int, d: int, moment_krull: bool = True) -> CaseSpec:
     from .orbits import nilcone_dim, symplectic_reduction_orbit
 
     names = [f"a{i}{j}" for i in range(1, n + 1) for j in range(1, d + 1)]
@@ -915,6 +994,7 @@ def build_glsym(n: int, d: int) -> CaseSpec:
         str(symplectic_reduction_orbit("GL", n, d)),
         "symplectic reduction as a nilpotent orbit closure",
     )
+    case.checks = [MOMENT_KRULL, REDUCTION_ORBIT] if moment_krull else [REDUCTION_ORBIT]
     return case
 
 
@@ -947,6 +1027,7 @@ def build_osym(n: int, d: int) -> CaseSpec:
         str(symplectic_reduction_orbit("O", n, d)),
         "symplectic reduction as a nilpotent orbit closure",
     )
+    case.checks = [MOMENT_KRULL, REDUCTION_ORBIT]
     return case
 
 
@@ -980,43 +1061,12 @@ def build_spsym(n_half: int, d: int) -> CaseSpec:
         str(orb) if not isinstance(orb, tuple) else f"{orb[0]} / {orb[1]}",
         "symplectic reduction as nilpotent orbit closure(s)",
     )
+    case.checks = [MOMENT_KRULL, REDUCTION_ORBIT]
     return case
 
 
 # --------------------------------------------------------------------------
 # quotient maps and moment maps on rational points
-
-
-def fft_generators(case: CaseSpec) -> List[Polynomial]:
-    return list(case.fft)
-
-
-def ideal_J(case: CaseSpec) -> Ideal:
-    return case.ideal("J")
-
-
-def fixed_point_ideal(case: CaseSpec, which: Optional[str] = None) -> Ideal:
-    if which is None:
-        which = "I"
-    if case.name.startswith("o3") and which == "I1":
-        raise UnsupportedIdeal(
-            "the first orthogonal-triple fixed point has no printed generators"
-        )
-    return case.ideal(which)
-
-
-def generic_fiber_ideal(case: CaseSpec) -> Ideal:
-    return case.ideal("L")
-
-
-def moment_ideal(case: CaseSpec) -> Ideal:
-    return case.ideal("moment")
-
-
-def component_ideals(case: CaseSpec) -> List[Ideal]:
-    if not case.components:
-        raise UnsupportedIdeal(f"case {case.name!r} has no catalogued components")
-    return [ideal for _, ideal in case.components]
 
 
 Matrix = List[List[Fraction]]
@@ -1097,7 +1147,8 @@ _BUILDERS: Dict[str, Callable[[], CaseSpec]] = {
     "onil-3-2": lambda: _make_o_nilcone_case(3, 2),
     "glsym-n2-d2": lambda: build_glsym(2, 2),
     "glsym-n1-d2": lambda: build_glsym(1, 2),
-    "glsym-n2-d4": lambda: build_glsym(2, 4),
+    # no moment-krull check yet: adding it changes `run --all` (ROADMAP item 1)
+    "glsym-n2-d4": lambda: build_glsym(2, 4, moment_krull=False),
     "osym-n2-d2": lambda: build_osym(2, 2),
     "spsym-n1-d2": lambda: build_spsym(1, 2),
 }
@@ -1129,6 +1180,7 @@ def _make_o_nilcone_case(n: int, nprime: int) -> CaseSpec:
     case.expected["nilcone-dim"] = Expected(
         nilcone_dim("O", (n, nprime)), "nilcone dimension, closed form"
     )
+    case.checks = [NILCONE_KRULL]
     return case
 
 

@@ -347,17 +347,6 @@ class Polynomial:
         return serialize(self)
 
 
-def poly_op(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Named dispatch for the three ring operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def leading_term(p: Polynomial, order: MonomialOrder = GREVLEX) -> Tuple[Monomial, Coeff]:
     return p.leading_term(order)
 

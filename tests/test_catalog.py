@@ -4,17 +4,7 @@ from fractions import Fraction
 import pytest
 
 from classinv import catalog
-from classinv.catalog import (
-    UnsupportedIdeal,
-    component_ideals,
-    fft_generators,
-    fixed_point_ideal,
-    generic_fiber_ideal,
-    get_case,
-    ideal_J,
-    moment_ideal,
-    quotient_image,
-)
+from classinv.catalog import UnsupportedIdeal, get_case, quotient_image
 from classinv.groebner import normal_form
 from classinv.poly import parse_poly, serialize
 
@@ -39,20 +29,20 @@ def test_generators_roundtrip_through_text():
 
 
 def test_fft_counts():
-    assert len(fft_generators(get_case("gl2"))) == 4
-    assert len(fft_generators(get_case("gl3"))) == 9
-    assert len(fft_generators(get_case("o2"))) == 3
-    assert len(fft_generators(get_case("o3-I2"))) == 6
-    assert len(fft_generators(get_case("sp4"))) == 6
-    assert len(fft_generators(get_case("so3-I1"))) == 7
-    assert len(fft_generators(get_case("sl-2-3"))) == 3
+    assert len(get_case("gl2").fft) == 4
+    assert len(get_case("gl3").fft) == 9
+    assert len(get_case("o2").fft) == 3
+    assert len(get_case("o3-I2").fft) == 6
+    assert len(get_case("sp4").fft) == 6
+    assert len(get_case("so3-I1").fft) == 7
+    assert len(get_case("sl-2-3").fft) == 3
 
 
 def test_o2_fft_hyperbolic_basis():
     case = get_case("o2")
     r = case.ring
     want = {parse_poly(t, r) for t in ("x1*x2", "y1*y2", "x1*y2 + x2*y1")}
-    assert set(fft_generators(case)) == want
+    assert set(case.fft) == want
 
 
 def test_invariants_contained_in_fixed_points():
@@ -60,29 +50,29 @@ def test_invariants_contained_in_fixed_points():
                         ("so3-I2", "I2"), ("sp4", "I")]:
         case = get_case(name)
         I = case.ideal(which)
-        for g in ideal_J(case).generators:
+        for g in case.ideal("J").generators:
             assert normal_form(g, I).is_zero(), (name, serialize(g))
 
 
 def test_so3_I1_contains_invariants():
     case = get_case("so3-I1")
     I1 = case.ideal("I1")
-    for g in ideal_J(case).generators:
+    for g in case.ideal("J").generators:
         assert normal_form(g, I1).is_zero()
 
 
 def test_o3_first_fixed_point_unsupported():
     with pytest.raises(UnsupportedIdeal):
-        fixed_point_ideal(get_case("o3-I2"), "I1")
+        get_case("o3-I2").ideal("I1")
 
 
 def test_generic_fiber_membership():
     case = get_case("o3-I2")
-    L = generic_fiber_ideal(case)
+    L = case.ideal("L")
     pairing = parse_poly("x1*y1 + x2*y2 + x3*y3", case.ring)
     assert normal_form(pairing, L).is_zero()
     assert len(L.generators) == 6
-    assert len(generic_fiber_ideal(get_case("so3-I1")).generators) == 7
+    assert len(get_case("so3-I1").ideal("L").generators) == 7
 
 
 def test_quotient_image_matches_invariants():
@@ -100,7 +90,7 @@ def test_quotient_image_matches_invariants():
     # written anti-diagonally: u2[a][c] = y[3-c][3-a] (one-indexed)
     point = [u1[0][0], u1[0][1], u1[1][0], u1[1][1],
              u2[1][1], u2[0][1], u2[1][0], u2[0][0]]
-    values = [g.evaluate(point) for g in fft_generators(case)]
+    values = [g.evaluate(point) for g in case.fft]
     assert values == flat_image
 
     # orthogonal situation
@@ -109,7 +99,7 @@ def test_quotient_image_matches_invariants():
     gram = quotient_image(case, w)
     point = [w[i][j] for j in range(3) for i in range(3)]
     expected = [gram[0][0], gram[1][1], gram[2][2], gram[0][1], gram[0][2], gram[2][1]]
-    values = [g.evaluate(point) for g in fft_generators(case)]
+    values = [g.evaluate(point) for g in case.fft]
     assert values == expected
 
     # block identity maps to the rank pattern
@@ -137,15 +127,14 @@ def test_moment_generators_vanish_on_catalogued_points():
     point = [Fraction(v) for row in u1 for v in row] + [
         Fraction(v) for row in u2 for v in row
     ]
-    for g in moment_ideal(case).generators:
+    for g in case.ideal("moment").generators:
         assert g.evaluate(point) == 0
 
 
 def test_components_supported_only_where_catalogued():
-    assert len(component_ideals(get_case("gl2"))) == 4
-    assert len(component_ideals(get_case("o2"))) == 2
-    with pytest.raises(UnsupportedIdeal):
-        component_ideals(get_case("gl3"))
+    assert len(get_case("gl2").components) == 4
+    assert len(get_case("o2").components) == 2
+    assert get_case("gl3").components == []
 
 
 def test_gl2_membership_separates_invariants_from_fixed_point():
@@ -169,11 +158,11 @@ def test_moment_ideal_shapes():
     # one quadric in four variables for the smallest bilinear moment fiber
     case = get_case("glsym-n1-d2")
     assert case.ring.arity == 4
-    assert len(moment_ideal(case).generators) == 1
-    assert moment_ideal(case).generators[0].degree() == 2
+    assert len(case.ideal("moment").generators) == 1
+    assert case.ideal("moment").generators[0].degree() == 2
     # antisymmetric and symmetric entry counts
-    assert len(moment_ideal(get_case("osym-n2-d2")).generators) == 1
-    assert len(moment_ideal(get_case("spsym-n1-d2")).generators) == 3
+    assert len(get_case("osym-n2-d2").ideal("moment").generators) == 1
+    assert len(get_case("spsym-n1-d2").ideal("moment").generators) == 3
 
 
 def test_quotient_image_rank_pattern_and_zero():

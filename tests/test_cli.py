@@ -1,11 +1,12 @@
-import io
 import json
-import sys
-
-import pytest
+from pathlib import Path
 
 from classinv import cli
 from classinv.catalog import case_names
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_TEXT = ROOT / "perfbench" / "reference" / "verify_all.txt"
+GOLDEN_JSON_PMAX3 = Path(__file__).resolve().parent / "golden" / "run_all_pmax3.json"
 
 
 def run_cli(args, capsys):
@@ -58,6 +59,17 @@ def test_failing_case_exits_1(capsys):
     assert "component-intersection" in out
 
 
+def reference_check_names():
+    """Check names per case, read off the recorded `run --all` text."""
+    names = {}
+    for line in REFERENCE_TEXT.read_text().splitlines():
+        if line.startswith("case "):
+            current = names.setdefault(line[len("case "):], [])
+        elif line.startswith("  ["):
+            current.append(line.split("] ", 1)[1].split(":", 1)[0])
+    return names
+
+
 def test_time_budget_marks_unsupported(capsys):
     code, out, _ = run_cli(
         ["run", "--case", "gl3", "--time-budget", "0", "--format", "json"], capsys
@@ -65,6 +77,29 @@ def test_time_budget_marks_unsupported(capsys):
     data = json.loads(out)
     assert all(c["verdict"] == "unsupported" for c in data[0]["checks"])
     assert code == 1  # unsupported is not a pass
+
+    code, out, _ = run_cli(["run", "--all", "--time-budget", "0", "--format", "json"], capsys)
+    data = json.loads(out)
+    assert code == 1
+    assert all(c["verdict"] == "unsupported" for r in data for c in r["checks"])
+    listed = {r["case"]: [c["name"] for c in r["checks"]] for r in data}
+    assert listed == reference_check_names()
+
+
+def test_run_all_text_matches_reference(capsys):
+    code, out, _ = run_cli(["run", "--all"], capsys)
+    assert code == 1  # the o2 component-intersection check fails by design
+    assert out == REFERENCE_TEXT.read_text()
+
+
+def test_run_all_json_matches_golden(capsys):
+    code, out, _ = run_cli(["run", "--all", "--pmax", "3", "--format", "json"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    for report in data:
+        for c in report["checks"]:
+            del c["ms"]
+    assert data == json.loads(GOLDEN_JSON_PMAX3.read_text())
 
 
 def test_degenerate_command(capsys):
