@@ -313,6 +313,9 @@ def _checks_for(case: CaseSpec, pmax: int) -> List[Check]:
 def run_case(
     name: str, pmax: int = 6, deadline: Optional[float] = None
 ) -> Report:
+    # a negative pmax would leave the Hilbert checks empty lists, vacuously equal
+    if pmax < 0:
+        raise ValueError(f"pmax must be nonnegative, got {pmax}")
     case = get_case(name)
     report = Report(case=name)
     for check_name, citation, fn in _checks_for(case, pmax):

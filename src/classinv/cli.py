@@ -159,6 +159,16 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="classinv",
@@ -170,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--case", help="single case to run")
     run.add_argument("--all", action="store_true", help="run every case")
     run.add_argument("--list-cases", action="store_true", help="list the registry")
-    run.add_argument("--pmax", type=int, default=6, help="largest Hilbert degree")
+    run.add_argument("--pmax", type=_nonnegative_int, default=6, help="largest Hilbert degree")
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
 

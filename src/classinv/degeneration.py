@@ -8,6 +8,21 @@ w-initial forms of a Groebner basis computed under a w-compatible order
 basis under an incompatible order can produce a strictly smaller ideal,
 so `flat_limit` recomputes the basis under the compatible order unless
 the supplied one already certifies there.
+
+The limit needs no Buchberger run of its own.  If G is the reduced
+compatible basis, the forms in_w(G) are the reduced grevlex basis of
+the limit (Sturmfels, Groebner Bases and Convex Polytopes, 1996,
+Prop. 1.8): in_w(g) keeps the leading term of g, its other terms are
+terms of g, which no leading term of G divides, and its leading
+coefficient stays 1.  The proposition needs G to be a Groebner basis
+under a term order.  The compatible order is a well-order when no
+weight is positive; with a positive weight it is one only on
+homogeneous input, where shifting every weight by the same amount
+until none is positive changes no comparison between monomials of one
+degree.  `flat_limit`
+gives the forms to the limit as its grevlex basis when it computed G
+itself and one of these holds; a supplied basis need not be reduced,
+and in the other cases the limit computes its own.
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .groebner import Ideal, certify_gb
+from .groebner import Ideal, _with_reduced_basis, certify_gb
 from .poly import GREVLEX, MonomialOrder, Polynomial, Ring, initial_form, weighted_order
 
 
@@ -60,9 +75,18 @@ def certified_basis(ideal: Ideal, w: Sequence[int], basis: Optional[Sequence[Pol
 def flat_limit(
     ideal: Ideal, w: Sequence[int], basis: Optional[Sequence[Polynomial]] = None
 ) -> Ideal:
-    """The t -> 0 limit of the one-parameter family attached to w."""
+    """The t -> 0 limit of the one-parameter family attached to w.
+
+    Without a supplied basis, and when no weight is positive or the
+    ideal is homogeneous, the limit carries its generators, the initial
+    forms of the reduced w-compatible basis, as its reduced grevlex
+    basis.
+    """
     gb = certified_basis(ideal, w, basis)
-    return Ideal(ideal.ring, [initial_form(g, w) for g in gb])
+    forms = [initial_form(g, w) for g in gb]
+    if basis is None and (max(w) <= 0 or ideal.is_homogeneous()):
+        return _with_reduced_basis(ideal.ring, forms, GREVLEX)
+    return Ideal(ideal.ring, forms)
 
 
 def family_member(

@@ -17,13 +17,23 @@ reverses the byte order.  An exponent of 128 or more raises
 `OverflowError`: in a leading or reduced monomial and in any term of an
 element entering the basis.
 
-Pair selection follows the normal strategy (smallest lcm degree first)
-with the Gebauer-Moeller refinements of Buchberger's two criteria; the
-M criterion tests each new lcm only against the minimal lcms of lower
-degree, the only ones that can divide it properly.  For
-homogeneous input a degree bound `d` truncates the computation: all
-S-pairs of degree <= d are processed, which makes the leading-term ideal
-complete in degrees <= d, enough for Hilbert-function queries up to d.
+Pairs are selected by sugar degree, smallest first, ties by the lcm's
+order key (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar
+cube, please", ISSAC 1991), with the Gebauer-Moeller refinements of
+Buchberger's two criteria; the M criterion tests each new lcm only
+against the minimal lcms of lower degree, the only ones that can divide
+it properly.  A seed's sugar is its total degree; a pair's sugar is
+max(s_i - deg lt_i, s_j - deg lt_j) + deg lcm; an element made from a
+pair gets the larger of the pair's sugar and its own total degree.
+Sugar is the degree the element would have in the homogenized
+computation, so an inhomogeneous run under a weighted order is not led
+into high degrees by leading terms of low degree.  On homogeneous input
+every element's sugar is its degree, that of its leading term, so a
+pair's sugar is its lcm degree: the selection is the normal strategy
+(smallest lcm degree first), step for step.  There a degree bound `d`
+truncates the computation: all S-pairs of degree <= d are processed,
+which makes the leading-term ideal complete in degrees <= d, enough for
+Hilbert-function queries up to d.
 
 A run (`_Run`) stops at the first live pair above the bound and keeps
 it in the heap, and each `Ideal` keeps its incomplete run per order, so
@@ -288,10 +298,10 @@ class _Engine:
 class _Run:
     """A Buchberger run that stops at a degree bound and resumes from there.
 
-    It holds the unreduced basis, the pair heap and the live pairs.
-    `advance(bound)` processes every pair of lcm degree <= bound and
-    leaves the rest in the heap.  On homogeneous input the heap pops
-    pairs in order of lcm degree, so a run advanced to p and then to q
+    It holds the unreduced basis with each element's sugar, the pair
+    heap and the live pairs.  `advance(bound)` processes every pair of
+    sugar <= bound and leaves the rest in the heap.  On homogeneous input
+    a pair's sugar is its lcm degree, so a run advanced to p and then to q
     makes exactly the steps of a fresh run advanced to q: the same
     pairs, the same chain deletions, the same basis indices.
     """
@@ -300,7 +310,8 @@ class _Run:
         self.order = order
         eng = self.eng = _Engine(ring, order)
         self.basis: List[Tuple[int, int, Dict[int, int]]] = []  # (lt, lc, dict)
-        self.pairs: List[Tuple[int, int, int, int]] = []  # heap: (lcm deg, lcm key, i, j)
+        self.sugars: List[int] = []  # per basis element
+        self.pairs: List[Tuple[int, int, int, int]] = []  # heap: (sugar, lcm key, i, j)
         self.lcms: Dict[Tuple[int, int], int] = {}  # live pairs
         self._reduced: List[Polynomial] = []
         self._reduced_size = 0  # basis length when `_reduced` was made
@@ -311,16 +322,21 @@ class _Run:
         for d in seed:
             d = eng.top_reduce(dict(d), self.basis)
             if d:
-                self.add_element(eng.strip_content(d))
+                self.add_element(eng.strip_content(d), 0)
 
-    def add_element(self, d: Dict[int, int]) -> None:
-        """Gebauer-Moeller update of the pair set with the new element."""
-        eng, basis, lcms = self.eng, self.basis, self.lcms
-        guard, lcm = eng.guard, eng.lcm
+    def add_element(self, d: Dict[int, int], sugar: int) -> None:
+        """Gebauer-Moeller update of the pair set with the new element,
+        whose sugar is the larger of `sugar` and its total degree."""
+        eng, basis, lcms, sugars = self.eng, self.basis, self.lcms, self.sugars
+        guard, lcm, degree = eng.guard, eng.lcm, eng.degree
         if any(m & guard for m in d):
             raise OverflowError(_EXPONENT_OVERFLOW)
         t = len(basis)
         nlt = eng.lt(d)
+        sugar = max(sugar, max(map(degree, d)))
+        # a pair's sugar: the larger sugar excess over the leading degree,
+        # plus the lcm degree; on homogeneous input it is the lcm degree
+        excess = sugar - degree(nlt)
         cand = [lcm(b[0], nlt) for b in basis]
         first: Dict[int, int] = {}
         for i, l in enumerate(cand):
@@ -337,22 +353,24 @@ class _Run:
         for i in keep:
             l = cand[i]
             lcms[(i, t)] = l
-            heapq.heappush(self.pairs, (eng.degree(l), eng.key(l), i, t))
+            s = max(excess, sugars[i] - degree(basis[i][0])) + degree(l)
+            heapq.heappush(self.pairs, (s, eng.key(l), i, t))
         basis.append((nlt, d[nlt], d))
+        sugars.append(sugar)
 
     def advance(self, degree_bound: Optional[int]) -> bool:
-        """Process the pairs of lcm degree <= degree_bound (all if None).
+        """Process the pairs of sugar <= degree_bound (all if None).
 
         The first live pair above the bound stays in the heap.  Returns
         True when no pair is left: the basis is then complete.
         """
         eng, basis, pairs, lcms = self.eng, self.basis, self.pairs, self.lcms
         while pairs:
-            deg, _, i, j = pairs[0]
+            sugar, _, i, j = pairs[0]
             if (i, j) not in lcms:
                 heapq.heappop(pairs)
                 continue
-            if degree_bound is not None and deg > degree_bound:
+            if degree_bound is not None and sugar > degree_bound:
                 return False
             heapq.heappop(pairs)
             del lcms[(i, j)]
@@ -361,7 +379,7 @@ class _Run:
                 continue
             s = eng.top_reduce(s, basis)
             if s:
-                self.add_element(eng.strip_content(s))
+                self.add_element(eng.strip_content(s), sugar)
         return True
 
     def reduced(self) -> List[Polynomial]:
@@ -462,6 +480,17 @@ class Ideal:
 
     def contains(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         return normal_form(p, self, order).is_zero()
+
+
+def _with_reduced_basis(ring: Ring, basis: Sequence[Polynomial], order: MonomialOrder) -> Ideal:
+    """The ideal generated by `basis`, which the caller knows to be its
+    reduced Groebner basis under `order`; it answers every query of that
+    order without a Buchberger run."""
+    ideal = Ideal(ring, basis)
+    ideal._complete[_order_sig(order)] = sorted(
+        ideal.generators, key=lambda p: order.key(p.leading_monomial(order))
+    )
+    return ideal
 
 
 def groebner_basis(

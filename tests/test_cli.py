@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from classinv import cli
+import pytest
+
+from classinv import checks, cli
 from classinv.catalog import case_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +28,25 @@ def test_unknown_case_exits_2(capsys):
     code, _, err = run_cli(["run", "--case", "nonexistent"], capsys)
     assert code == 2
     assert "unknown case" in err
+
+
+def test_negative_pmax_exits_2(capsys):
+    for args in (["--case", "gl2"], ["--all"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", *args, "--pmax", "-1"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --pmax: must be nonnegative, got -1" in err
+
+
+def test_run_case_and_run_all_reject_negative_pmax():
+    with pytest.raises(ValueError, match="pmax must be nonnegative"):
+        checks.run_case("gl2", pmax=-1)
+    with pytest.raises(ValueError, match="pmax must be nonnegative"):
+        checks.run_all(pmax=-1, names=["gl2"])
+    # zero is a valid bound: every Hilbert check covers degree 0
+    assert checks.run_case("gl2", pmax=0).passed
 
 
 def test_no_selection_exits_2(capsys):

@@ -1,8 +1,13 @@
+import itertools
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from classinv.catalog import SO3_PRINTED_BASIS, get_case
+from classinv import cli
+from classinv.catalog import SO3_PRINTED_BASIS, case_names, get_case
 from classinv.degeneration import (
     certified_basis,
     compatible_order,
@@ -18,7 +23,10 @@ from classinv.groebner import (
     ideal_equal,
     normal_form,
 )
-from classinv.poly import GREVLEX, parse_poly, ring
+from classinv.poly import GREVLEX, parse_poly, ring, serialize
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FAMILIES = ("o3-I2", "so3-I1", "so3-I2")
 
 
 def test_expand_weights():
@@ -155,3 +163,109 @@ def test_family_member_matches_displayed_generators_at_two():
     w = expand_column_weights(r, (-3, -1, -1), ["x", "y", "z"])
     member = family_member(case.ideal("L"), w, Fraction(t))
     assert ideal_equal(displayed, member)
+
+
+def _negative_vectors(seed, per_family):
+    """(family, column weights) pairs, distinct strictly negative vectors."""
+    rng = random.Random(seed)
+    pool = list(itertools.product(range(-6, 0), repeat=3))
+    picked = rng.sample(pool, per_family * len(FAMILIES))
+    return [(FAMILIES[k // per_family], w) for k, w in enumerate(picked)]
+
+
+def _label(name, column_weights):
+    return f"{name}:{','.join(map(str, column_weights))}"
+
+
+def _limit_cases():
+    for name in case_names():
+        case = get_case(name)
+        for data in case.degenerations:
+            w = expand_column_weights(case.ring, data.column_weights, ["x", "y", "z"])
+            yield pytest.param(case.ideal(data.source), w, id=_label(name, data.column_weights))
+    for family, cw in _negative_vectors(801, 30):
+        case = get_case(family)
+        w = expand_column_weights(case.ring, cw, ["x", "y", "z"])
+        yield pytest.param(case.ideal("L"), w, id=_label(family, cw))
+    w = [3, -1, 0, 2, -2, 1, 0, -1]
+    yield pytest.param(get_case("gl2").ideal("I"), w, id="gl2-mixed-signs")
+
+
+def _text(basis):
+    return [serialize(g) for g in basis]
+
+
+@pytest.mark.parametrize("source,w", list(_limit_cases()))
+def test_limit_basis_is_the_reduced_grevlex_basis(source, w):
+    # the limit carries the initial forms of the reduced w-compatible basis
+    # as its grevlex basis; a fresh run from its generators must agree
+    limit = flat_limit(source, w)
+    carried = limit.groebner_basis()
+    assert _text(carried) == _text(Ideal(source.ring, limit.generators).groebner_basis())
+    assert certify_gb(carried, GREVLEX)
+
+
+def test_positive_weight_on_inhomogeneous_input_keeps_the_generic_route():
+    # the compatible order is no well-order here, so the initial forms are
+    # not taken as the limit's basis; the limit runs Buchberger on them
+    r = ring("x", "y", "z")
+    source = Ideal(r, [parse_poly(g, r) for g in ("x^2 + y*z - 1", "x*y - z^2")])
+    for w, route_taken in (([1, -1, -1], False), ([0, -1, -2], True)):
+        limit = flat_limit(source, w)
+        assert bool(limit._complete) is route_taken, w
+        assert _text(limit.groebner_basis()) == _text(Ideal(r, limit.generators).groebner_basis())
+    homogeneous = Ideal(r, [parse_poly(g, r) for g in ("x^2 + y*z", "x*y - z^2")])
+    assert flat_limit(homogeneous, [1, -1, -1])._complete
+
+
+def test_supplied_basis_keeps_the_generic_route():
+    case = get_case("so3-I1")
+    data = case.degenerations[0]
+    w = expand_column_weights(case.ring, data.column_weights, ["x", "y", "z"])
+    L = case.ideal("L")
+    gb = certified_basis(L, w)
+    # a non-reduced basis: every element doubled, one redundant product added
+    supplied = [g * 2 for g in gb] + [gb[0] * gb[1]]
+    limit = flat_limit(L, w, basis=supplied)
+    assert len(limit.generators) == len(supplied)
+    assert _text(limit.groebner_basis()) == _text(flat_limit(L, w).groebner_basis())
+
+
+def _presentations(gens, rng):
+    """The generators shuffled, scaled, and extended by redundant combinations."""
+    r = gens[0].ring
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    yield shuffled
+    yield [g * Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])) for g in gens]
+    extra = []
+    for _ in range(3):
+        f, g = rng.sample(list(gens), 2)
+        v = r.var(rng.choice(r.variables))
+        extra.append(f * v + g * Fraction(rng.randint(1, 4)))
+    yield list(gens) + extra
+    mixed = list(gens) + extra
+    rng.shuffle(mixed)
+    yield mixed
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_compatible_basis_independent_of_presentation(family):
+    case = get_case(family)
+    L = case.ideal("L")
+    vectors = [d.column_weights for d in case.degenerations]
+    vectors += [cw for f, cw in _negative_vectors(802, 2) if f == family]
+    rng = random.Random(family)
+    for cw in vectors:
+        order = compatible_order(expand_column_weights(case.ring, cw, ["x", "y", "z"]))
+        expected = _text(L.groebner_basis(order))
+        for gens in _presentations(L.generators, rng):
+            assert _text(Ideal(case.ring, gens).groebner_basis(order)) == expected, cw
+
+
+def test_degenerate_command_matches_golden(capsys):
+    # recorded while the limit still ran Buchberger on its initial forms
+    for run in json.loads((GOLDEN / "degenerate_cli.json").read_text()):
+        weights = ",".join(map(str, run["weights"]))
+        code = cli.main(["degenerate", "--case", run["case"], f"--weights={weights}"])
+        assert (code, capsys.readouterr().out) == (run["exit"], run["stdout"]), run["weights"]

@@ -461,3 +461,21 @@ def test_product_generator_count_with_repetition():
     # pairwise products (with repetition), before any interreduction
     I = get_case("gl2").ideal("I")
     assert len(ideal_product(I, I).generators) == 36
+
+
+def test_hilbert_sweep_spoly_count_pinned(monkeypatch):
+    # Sugar selection equals the normal strategy on homogeneous input: the
+    # ascending 0..9 sweep of the hilbert-deep ideals makes exactly the
+    # S-polynomials it made under lcm-degree selection.
+    import classinv.groebner as gb
+
+    calls = []
+    real = gb._Engine.spoly
+    monkeypatch.setattr(gb._Engine, "spoly", lambda *a: calls.append(1) or real(*a))
+    sources = [get_case(n).ideal("I") for n in ("gl2", "gl3", "sp4")]
+    sources += [get_case("o3-I2").ideal(n) for n in ("J", "I2")]
+    for source in sources:
+        ideal = fresh(source)
+        for p in range(10):
+            hilbert_function(ideal, p)
+    assert len(calls) == 559
