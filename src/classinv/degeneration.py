@@ -6,8 +6,7 @@ The limit of an ideal under a weight vector w is generated by the
 w-initial forms of a Groebner basis computed under a w-compatible order
 (weight first, graded reverse lexicographic tie-break).  Taking the
 basis under an incompatible order can produce a strictly smaller ideal,
-so `flat_limit` recomputes the basis under the compatible order unless
-the supplied one already certifies there.
+so `flat_limit` takes the reduced basis under the compatible order.
 
 The limit needs no Buchberger run of its own.  If G is the reduced
 compatible basis, the forms in_w(G) are the reduced grevlex basis of
@@ -19,10 +18,8 @@ under a term order.  The compatible order is a well-order when no
 weight is positive; with a positive weight it is one only on
 homogeneous input, where shifting every weight by the same amount
 until none is positive changes no comparison between monomials of one
-degree.  `flat_limit`
-gives the forms to the limit as its grevlex basis when it computed G
-itself and one of these holds; a supplied basis need not be reduced,
-and in the other cases the limit computes its own.
+degree.  `flat_limit` gives the forms to the limit as its grevlex basis
+when one of these holds; otherwise the limit computes its own.
 """
 
 from __future__ import annotations
@@ -72,19 +69,15 @@ def certified_basis(ideal: Ideal, w: Sequence[int], basis: Optional[Sequence[Pol
     return ideal.groebner_basis(order)
 
 
-def flat_limit(
-    ideal: Ideal, w: Sequence[int], basis: Optional[Sequence[Polynomial]] = None
-) -> Ideal:
+def flat_limit(ideal: Ideal, w: Sequence[int]) -> Ideal:
     """The t -> 0 limit of the one-parameter family attached to w.
 
-    Without a supplied basis, and when no weight is positive or the
-    ideal is homogeneous, the limit carries its generators, the initial
-    forms of the reduced w-compatible basis, as its reduced grevlex
-    basis.
+    When no weight is positive or the ideal is homogeneous, the limit
+    carries its generators, the initial forms of the reduced
+    w-compatible basis, as its reduced grevlex basis.
     """
-    gb = certified_basis(ideal, w, basis)
-    forms = [initial_form(g, w) for g in gb]
-    if basis is None and (max(w) <= 0 or ideal.is_homogeneous()):
+    forms = [initial_form(g, w) for g in certified_basis(ideal, w)]
+    if max(w) <= 0 or ideal.is_homogeneous():
         return _with_reduced_basis(ideal.ring, forms, GREVLEX)
     return Ideal(ideal.ring, forms)
 

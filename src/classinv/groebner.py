@@ -43,6 +43,25 @@ an exact prefix of the run to any larger bound: the same pairs, chain
 deletions and basis indices, hence the same reduced basis as a fresh
 run to that bound.  When the heap empties the run is complete; only its
 reduced basis is kept, and Hilbert values read one series numerator.
+
+All reduction is integer pseudo-division in `_Engine`: `top_reduce`
+for the Buchberger loop and the certificate, `remainder` for everything
+else.  `remainder` reduces every term and tracks the multiplier mu, so
+that mu*p - r lies in the ideal; `normal_form` returns lambda*r/mu,
+lambda being p's scale to coprime integers, and interreduction makes
+each element monic by dividing by its leading coefficient times mu.
+A remainder modulo a Groebner basis is unique, so these agree with
+division over the rationals term for term.  Normal forms therefore
+share the exponent limit of 127.
+
+Divisors are looked up in an index (`_Divisors`, after the divisor
+queries of Roune and Stillman, "Practical Groebner basis computation",
+ISSAC 2012).  It memoises each queried monomial's answer: a hit stores
+the index of the first entry whose leading term divides it, a miss the
+number of entries scanned.  The entry list only grows, so a stored hit
+stays the first divisor and a later query after a miss scans only the
+entries appended since; the index answers exactly as a scan from the
+front, and runs take the same steps as without it.
 """
 
 from __future__ import annotations
@@ -51,7 +70,7 @@ import heapq
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -66,7 +85,9 @@ from .poly import (
 )
 
 _SHIFT = 8
-_GUARD = 1 << (_SHIFT - 1)  # top bit of each field; an exponent stays below it
+_GUARD_SHIFT = _SHIFT - 1
+_GUARD = 1 << _GUARD_SHIFT  # top bit of each field; an exponent stays below it
+_FIELD = _GUARD - 1  # the exponent bits of a field
 _EXPONENT_OVERFLOW = f"exponent {_GUARD} or more does not fit a packed monomial"
 
 
@@ -104,8 +125,58 @@ class _Memo(dict):
         return v
 
 
+# a basis entry: (leading monomial, leading coefficient, packed polynomial)
+_Entry = Tuple[int, int, Dict[int, int]]
+
+
+class _Divisors:
+    """First-divisor queries over an append-only list of basis entries.
+
+    `find(m)` answers as a scan from the front of `lts` would; the
+    memo holds `~i` for a monomial whose first divisor is entry i and
+    the number of entries scanned for one that had none.
+    """
+
+    __slots__ = ("entries", "lts", "_guard", "_memo")
+
+    def __init__(self, guard: int, entries: Iterable[_Entry] = ()):
+        self.entries: List[_Entry] = []
+        self.lts: List[int] = []  # the entries' leading monomials
+        self._guard = guard
+        self._memo: Dict[int, int] = {}
+        for e in entries:
+            self.append(e)
+
+    def append(self, entry: _Entry) -> None:
+        self.entries.append(entry)
+        self.lts.append(entry[0])
+
+    def find(self, m: int, skip: int = -1) -> Optional[int]:
+        """The index of the first entry other than `skip` whose leading
+        monomial divides m, or None."""
+        start = self._memo.get(m, 0)
+        if start < 0:
+            i = ~start
+        else:
+            i = self._scan(m, start)
+            self._memo[m] = len(self.lts) if i is None else ~i
+        if i == skip:
+            i = self._scan(m, skip + 1)
+        return i
+
+    def _scan(self, m: int, start: int) -> Optional[int]:
+        guard, lts = self._guard, self.lts
+        mg = m | guard
+        for i in range(start, len(lts)):
+            if (mg - lts[i]) & guard == guard:
+                return i
+        return None
+
+
 class _Engine:
-    """One Buchberger run over integer-primitive polynomials."""
+    """Packed-monomial arithmetic and integer reduction for one ring and
+    order: the kernel of Buchberger runs, interreduction, certificates and
+    normal forms."""
 
     def __init__(self, ring: Ring, order: MonomialOrder):
         n = self.arity = ring.arity
@@ -140,8 +211,8 @@ class _Engine:
     def lcm(self, a: int, b: int) -> int:
         """Fieldwise max: the guard bit of a field survives a - b iff
         a >= b there; spreading it over the field selects a or b."""
-        ge = (((a | self.guard) - b) & self.guard) >> (_SHIFT - 1)
-        mask = ge * (_GUARD - 1)
+        ge = (((a | self.guard) - b) & self.guard) >> _GUARD_SHIFT
+        mask = ge * _FIELD
         return (a & mask) | (b & ~mask)
 
     def minimal(self, pms: Iterable[int]) -> List[int]:
@@ -150,7 +221,7 @@ class _Engine:
         A proper divisor has lower degree, so each monomial is tested
         only against kept ones of lower degree.
         """
-        divides, degree = self.divides, self.degree
+        guard, degree = self.guard, self.degree
         lower: List[int] = []  # kept, below the current degree
         level: List[int] = []  # kept, of the current degree
         current = -1
@@ -159,20 +230,34 @@ class _Engine:
                 current = degree(m)
                 lower += level
                 level = []
-            if not any(divides(k, m) for k in lower):
+            mg = m | guard
+            for k in lower:
+                if (mg - k) & guard == guard:  # `divides(k, m)`, inlined
+                    break
+            else:
                 level.append(m)
         return lower + level
 
     # polynomial helpers (dict packed-monomial -> int coeff) ------------
 
-    def from_poly(self, p: Polynomial) -> Dict[int, int]:
-        q = p.scale_primitive()
-        return {_pack(m): int(c) for m, c in q.terms.items()}
+    def from_poly(self, p: Polynomial) -> Tuple[Dict[int, int], Fraction]:
+        """(d, s): p = s * d, d with coprime integer coefficients, s > 0."""
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        d = {_pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+        g = gcd(*d.values())
+        if g > 1:
+            d = {m: c // g for m, c in d.items()}
+        return d, Fraction(g, den)
 
-    def to_poly(self, d: Dict[int, int]) -> Polynomial:
-        return Polynomial(
-            self.ring, {_unpack(m, self.arity): Fraction(c) for m, c in d.items()}
-        )
+    def terms(self, d: Dict[int, int], s: Fraction) -> Dict[Monomial, Fraction]:
+        """The terms of s*d over the rationals."""
+        num, den, n = s.numerator, s.denominator, self.arity
+        return {_unpack(m, n): Fraction(c * num, den) for m, c in d.items()}
+
+    def entry(self, p: Polynomial) -> _Entry:
+        d = self.from_poly(p)[0]
+        lt = self.lt(d)
+        return lt, d[lt], d
 
     def lt(self, d: Dict[int, int]) -> int:
         return max(d, key=self.key)
@@ -190,28 +275,18 @@ class _Engine:
             d = {m: -c for m, c in d.items()}
         return d
 
-    def top_reduce(
-        self, p: Dict[int, int], basis: List[Tuple[int, int, Dict[int, int]]]
-    ) -> Dict[int, int]:
+    def top_reduce(self, p: Dict[int, int], index: _Divisors) -> Dict[int, int]:
         """Reduce the leading term of p while possible; integer pseudo-division."""
-        guard = self.guard
-        blts = [b[0] for b in basis]
-        nb = len(basis)
-        key = self.key
+        guard, key, find, entries = self.guard, self.key, index.find, index.entries
         steps = 0
         while p:
             lm = max(p, key=key)
             if lm & guard:
                 raise OverflowError(_EXPONENT_OVERFLOW)
-            lmg = lm | guard
-            hit = None
-            for idx in range(nb):
-                if (lmg - blts[idx]) & guard == guard:
-                    hit = basis[idx]
-                    break
-            if hit is None:
+            i = find(lm)
+            if i is None:
                 return p
-            blt, blc, bd = hit
+            blt, blc, bd = entries[i]
             c = p[lm]
             shift = lm - blt
             # pseudo-reduction: p := blc*p - c*x^shift*b keeps coefficients integral
@@ -230,53 +305,54 @@ class _Engine:
                 p = self.strip_content(p)
         return p
 
-    def full_reduce(
-        self, p: Dict[int, int], basis: List[Tuple[int, int, Dict[int, int]]]
-    ) -> Dict[int, int]:
-        """Reduce every monomial of p (tail reduction included)."""
-        p = self.top_reduce(dict(p), basis)
-        if not p:
-            return p
-        guard = self.guard
-        blts = [b[0] for b in basis]
-        nb = len(basis)
-        done_lt = self.lt(p)
-        while True:
-            target = None
-            for m in sorted(p, key=self.key, reverse=True):
-                if m == done_lt:
-                    continue
-                if m & guard:
-                    raise OverflowError(_EXPONENT_OVERFLOW)
-                mg = m | guard
-                for idx in range(nb):
-                    if (mg - blts[idx]) & guard == guard:
-                        b = basis[idx]
-                        target = (m, b[0], b[1], b[2])
-                        break
-                if target:
-                    break
-            if target is None:
-                return self.strip_content(p)
-            m, blt, blc, bd = target
-            c = p[m]
+    def remainder(
+        self, p: Dict[int, int], index: _Divisors, skip: int = -1
+    ) -> Tuple[Dict[int, int], Fraction]:
+        """(r, mu): the full remainder of p, which it consumes, against the
+        index's entries other than `skip`, by integer pseudo-division; mu
+        is nonzero and mu*p - r lies in the ideal of those entries.
+
+        Terms leave p for r largest first, and a reduction step only adds
+        terms below the one it cancels, so a term in r is never met again.
+        """
+        guard, key, find, entries = self.guard, self.key, index.find, index.entries
+        r: Dict[int, int] = {}
+        num = den = 1  # mu = num / den
+        steps = 0
+        while p:
+            lm = max(p, key=key)
+            if lm & guard:
+                raise OverflowError(_EXPONENT_OVERFLOW)
+            i = find(lm, skip)
+            if i is None:
+                r[lm] = p.pop(lm)
+                continue
+            blt, blc, bd = entries[i]
+            c = p[lm]
+            shift = lm - blt
             if blc != 1:
-                for mm in p:
-                    p[mm] *= blc
-                c *= blc
-            q = c // blc
-            shift = m - blt
-            for mg, cg in bd.items():
-                mm = mg + shift
-                v = p.get(mm, 0) - q * cg
+                for m in p:
+                    p[m] *= blc
+                for m in r:
+                    r[m] *= blc
+                num *= blc
+            for m, cm in bd.items():
+                mm = m + shift
+                v = p.get(mm, 0) - c * cm
                 if v:
                     p[mm] = v
                 else:
                     p.pop(mm, None)
+            steps += 1
+            if p and steps % 16 == 0:
+                g = gcd(*p.values(), *r.values())
+                if g > 1:
+                    p = {m: c // g for m, c in p.items()}
+                    r = {m: c // g for m, c in r.items()}
+                    den *= g
+        return r, Fraction(num, den)
 
-    def spoly(
-        self, f: Tuple[int, int, Dict[int, int]], g: Tuple[int, int, Dict[int, int]]
-    ) -> Dict[int, int]:
+    def spoly(self, f: _Entry, g: _Entry) -> Dict[int, int]:
         flt, flc, fd = f
         glt, glc, gd = g
         l = self.lcm(flt, glt)
@@ -309,18 +385,19 @@ class _Run:
     def __init__(self, ring: Ring, gens: Sequence[Polynomial], order: MonomialOrder):
         self.order = order
         eng = self.eng = _Engine(ring, order)
-        self.basis: List[Tuple[int, int, Dict[int, int]]] = []  # (lt, lc, dict)
+        self.index = _Divisors(eng.guard)
+        self.basis = self.index.entries  # grows through `add_element` only
         self.sugars: List[int] = []  # per basis element
         self.pairs: List[Tuple[int, int, int, int]] = []  # heap: (sugar, lcm key, i, j)
         self.lcms: Dict[Tuple[int, int], int] = {}  # live pairs
         self._reduced: List[Polynomial] = []
         self._reduced_size = 0  # basis length when `_reduced` was made
-        seed = [eng.from_poly(g) for g in gens if not g.is_zero()]
+        seed = [eng.from_poly(g)[0] for g in gens if not g.is_zero()]
         seed = [eng.strip_content(d) for d in seed]
         # deterministic seeding: ascending leading monomial, then insertion order
         seed.sort(key=lambda d: (eng.key(eng.lt(d)), sorted(d.items())))
         for d in seed:
-            d = eng.top_reduce(dict(d), self.basis)
+            d = eng.top_reduce(dict(d), self.index)
             if d:
                 self.add_element(eng.strip_content(d), 0)
 
@@ -328,7 +405,7 @@ class _Run:
         """Gebauer-Moeller update of the pair set with the new element,
         whose sugar is the larger of `sugar` and its total degree."""
         eng, basis, lcms, sugars = self.eng, self.basis, self.lcms, self.sugars
-        guard, lcm, degree = eng.guard, eng.lcm, eng.degree
+        guard, degree = eng.guard, eng.degree
         if any(m & guard for m in d):
             raise OverflowError(_EXPONENT_OVERFLOW)
         t = len(basis)
@@ -337,7 +414,11 @@ class _Run:
         # a pair's sugar: the larger sugar excess over the leading degree,
         # plus the lcm degree; on homogeneous input it is the lcm degree
         excess = sugar - degree(nlt)
-        cand = [lcm(b[0], nlt) for b in basis]
+        shift, field = _GUARD_SHIFT, _FIELD
+        cand = [  # `lcm(a, nlt)`, inlined
+            (a & (ge := ((((a | guard) - nlt) & guard) >> shift) * field)) | (nlt & ~ge)
+            for a in self.index.lts
+        ]
         first: Dict[int, int] = {}
         for i, l in enumerate(cand):
             first.setdefault(l, i)  # duplicate lcm: keep the first pair
@@ -355,7 +436,7 @@ class _Run:
             lcms[(i, t)] = l
             s = max(excess, sugars[i] - degree(basis[i][0])) + degree(l)
             heapq.heappush(self.pairs, (s, eng.key(l), i, t))
-        basis.append((nlt, d[nlt], d))
+        self.index.append((nlt, d[nlt], d))
         sugars.append(sugar)
 
     def advance(self, degree_bound: Optional[int]) -> bool:
@@ -377,7 +458,7 @@ class _Run:
             s = eng.spoly(basis[i], basis[j])
             if not s:
                 continue
-            s = eng.top_reduce(s, basis)
+            s = eng.top_reduce(s, self.index)
             if s:
                 self.add_element(eng.strip_content(s), sugar)
         return True
@@ -390,14 +471,17 @@ class _Run:
         eng, order = self.eng, self.order
         # minimalize: drop elements whose leading term another element divides
         # (leading terms are distinct: each element enters top-reduced)
-        kept = set(eng.minimal(b[0] for b in self.basis))
-        minimal = [b for b in self.basis if b[0] in kept]
-        # inter-reduce tails
+        kept = set(eng.minimal(self.index.lts))
+        index = _Divisors(eng.guard, (b for b in self.basis if b[0] in kept))
+        # inter-reduce tails against the other elements: under a weight that
+        # is positive on a variable, a tail term can be a multiple of the
+        # element's own leading term
         reduced: List[Polynomial] = []
-        for i, entry in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1 :]
-            d = eng.full_reduce(dict(entry[2]), others)
-            reduced.append(eng.to_poly(d).monic(order))
+        for k, (lt, lc, d) in enumerate(index.entries):
+            r, mu = eng.remainder({m: c for m, c in d.items() if m != lt}, index, skip=k)
+            terms = {_unpack(lt, eng.arity): Fraction(1)}
+            terms.update(eng.terms(r, 1 / (lc * mu)))
+            reduced.append(Polynomial(eng.ring, terms))
         reduced.sort(key=lambda p: order.key(p.leading_monomial(order)))
         self._reduced, self._reduced_size = reduced, len(self.basis)
         return reduced
@@ -415,7 +499,9 @@ class Ideal:
     of the run to any larger bound, so every bound gets the basis a fresh
     run to that bound would give.  Once a run's pair heap empties, only
     its reduced basis is kept (`_complete`) and it answers every larger
-    bound.  Instances are otherwise immutable.
+    bound.  `_packed` holds, per basis list in `_gb`, the engine and the
+    divisor index over that basis packed, which answer the normal forms
+    reduced against it.  Instances are otherwise immutable.
     """
 
     def __init__(self, ring: Ring, generators: Iterable[Polynomial]):
@@ -425,6 +511,7 @@ class Ideal:
                 raise ValueError("generator from wrong ring")
         self.ring = ring
         self.generators = gens
+        self._homogeneous: Optional[bool] = None
         self._gb: Dict[tuple, List[Polynomial]] = {}
         self._runs: Dict[tuple, _Run] = {}  # per order, while incomplete
         self._complete: Dict[tuple, List[Polynomial]] = {}  # per order
@@ -432,6 +519,8 @@ class Ideal:
         self._std_counts: Dict[tuple, List[int]] = {}
         # Hilbert-series numerator of the complete leading-term ideal, per order
         self._numerators: Dict[tuple, List[int]] = {}
+        # id(basis) -> (basis, engine, index); holding the list keeps its id unique
+        self._packed: Dict[int, Tuple[List[Polynomial], _Engine, _Divisors]] = {}
 
     # ---- structure -----------------------------------------------------
 
@@ -439,7 +528,9 @@ class Ideal:
         return not self.generators
 
     def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.generators)
+        if self._homogeneous is None:  # every bounded or normal-form query asks
+            self._homogeneous = all(g.is_homogeneous() for g in self.generators)
+        return self._homogeneous
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.generators)} generators in {self.ring})"
@@ -479,7 +570,29 @@ class Ideal:
         return self.groebner_basis(order)
 
     def contains(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
-        return normal_form(p, self, order).is_zero()
+        """Whether p reduces to zero, without converting the remainder."""
+        if p.ring != self.ring:
+            raise ValueError("ring mismatch")
+        if p.is_zero() or self.is_zero():
+            return p.is_zero()
+        return not self._remainder(p, order)[1]
+
+    def _remainder(
+        self, p: Polynomial, order: MonomialOrder
+    ) -> Tuple[_Engine, Dict[int, int], Fraction]:
+        """(eng, r, s): s*r, r packed by eng, is the normal form of p; p and
+        the ideal are nonzero."""
+        basis = self._basis_for(order, p)
+        packed = self._packed.get(id(basis))
+        if packed is None:
+            eng = _Engine(self.ring, order)
+            packed = self._packed[id(basis)] = (
+                basis, eng, _Divisors(eng.guard, map(eng.entry, basis))
+            )
+        _, eng, index = packed
+        d, scale = eng.from_poly(p)
+        r, mu = eng.remainder(d, index)
+        return eng, r, scale / mu
 
 
 def _with_reduced_basis(ring: Ring, basis: Sequence[Polynomial], order: MonomialOrder) -> Ideal:
@@ -499,44 +612,21 @@ def groebner_basis(
     return ideal.groebner_basis(order, degree_bound)
 
 
-def _divide(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Full division remainder by a list of monic polynomials."""
-    if p.is_zero() or not basis:
-        return p
-    lts = [(g.leading_monomial(order), g) for g in basis]
-    rem = p
-    while True:
-        target = None
-        for m in order.sorted(rem.terms):
-            for lm, g in lts:
-                if monomial_divides(lm, m):
-                    target = (m, lm, g)
-                    break
-            if target:
-                break
-        if target is None:
-            return rem
-        m, lm, g = target
-        c = rem.terms[m]
-        shift = tuple(a - b for a, b in zip(m, lm))
-        rem = rem - g.term_mul(shift, c)
-
-
 def normal_form(p: Polynomial, ideal: Ideal, order: MonomialOrder = GREVLEX) -> Polynomial:
     """Remainder of p modulo the reduced Groebner basis; zero iff p is in the ideal."""
     if p.ring != ideal.ring:
         raise ValueError("ring mismatch")
     if p.is_zero() or ideal.is_zero():
         return p
-    basis = ideal._basis_for(order, p)
-    return _divide(p, basis, order)
+    eng, r, s = ideal._remainder(p, order)
+    return Polynomial(p.ring, eng.terms(r, s))
 
 
 def ideal_equal(a: Ideal, b: Ideal, order: MonomialOrder = GREVLEX) -> bool:
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
-    return all(normal_form(g, b, order).is_zero() for g in a.generators) and all(
-        normal_form(g, a, order).is_zero() for g in b.generators
+    return all(b.contains(g, order) for g in a.generators) and all(
+        a.contains(g, order) for g in b.generators
     )
 
 
@@ -751,18 +841,15 @@ def certify_gb(basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> b
     polys = [p for p in basis if not p.is_zero()]
     if not polys:
         raise ValueError("empty basis")
-    ring = polys[0].ring
-    eng = _Engine(ring, order)
-    entries = []
-    for p in polys:
-        d = eng.from_poly(p)
-        entries.append((eng.lt(d), d[eng.lt(d)], d))
+    eng = _Engine(polys[0].ring, order)
+    index = _Divisors(eng.guard, map(eng.entry, polys))
+    entries = index.entries
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             a, b = entries[i][0], entries[j][0]
             if eng.lcm(a, b) == a + b:
                 continue  # coprime leading terms: Buchberger's product criterion
             s = eng.spoly(entries[i], entries[j])
-            if s and eng.top_reduce(s, entries):
+            if s and eng.top_reduce(s, index):
                 return False
     return True

@@ -274,26 +274,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if self.is_zero():
-            return self
-        _, c = self.leading_term(order)
-        return self * (Fraction(1) / c)
-
-    def scale_primitive(self) -> "Polynomial":
-        """Scale by a positive rational so coefficients are coprime integers."""
-        if self.is_zero():
-            return self
-        from math import gcd
-
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c.numerator * den // c.denominator)
-        return self * Fraction(den, g)
-
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != self.ring.arity:
             raise ValueError("wrong number of values")

@@ -9,7 +9,6 @@ import pytest
 from classinv import cli
 from classinv.catalog import SO3_PRINTED_BASIS, case_names, get_case
 from classinv.degeneration import (
-    certified_basis,
     compatible_order,
     expand_column_weights,
     family_member,
@@ -216,19 +215,6 @@ def test_positive_weight_on_inhomogeneous_input_keeps_the_generic_route():
         assert _text(limit.groebner_basis()) == _text(Ideal(r, limit.generators).groebner_basis())
     homogeneous = Ideal(r, [parse_poly(g, r) for g in ("x^2 + y*z", "x*y - z^2")])
     assert flat_limit(homogeneous, [1, -1, -1])._complete
-
-
-def test_supplied_basis_keeps_the_generic_route():
-    case = get_case("so3-I1")
-    data = case.degenerations[0]
-    w = expand_column_weights(case.ring, data.column_weights, ["x", "y", "z"])
-    L = case.ideal("L")
-    gb = certified_basis(L, w)
-    # a non-reduced basis: every element doubled, one redundant product added
-    supplied = [g * 2 for g in gb] + [gb[0] * gb[1]]
-    limit = flat_limit(L, w, basis=supplied)
-    assert len(limit.generators) == len(supplied)
-    assert _text(limit.groebner_basis()) == _text(flat_limit(L, w).groebner_basis())
 
 
 def _presentations(gens, rng):

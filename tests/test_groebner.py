@@ -129,9 +129,7 @@ class TestResumedRun:
     def test_sweep_makes_no_more_spolys_than_one_run(self, case, which, order, monkeypatch):
         import classinv.groebner as gb
 
-        calls = []
-        real = gb._Engine.spoly
-        monkeypatch.setattr(gb._Engine, "spoly", lambda *a: calls.append(1) or real(*a))
+        calls = count_calls(monkeypatch, gb._Engine, "spoly")
         source = get_case(case).ideal(which)
         fresh(source).groebner_basis(order)
         unbounded = len(calls)
@@ -463,19 +461,52 @@ def test_product_generator_count_with_repetition():
     assert len(ideal_product(I, I).generators) == 36
 
 
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one on every call of owner.name."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 def test_hilbert_sweep_spoly_count_pinned(monkeypatch):
     # Sugar selection equals the normal strategy on homogeneous input: the
     # ascending 0..9 sweep of the hilbert-deep ideals makes exactly the
-    # S-polynomials it made under lcm-degree selection.
+    # S-polynomials it made under lcm-degree selection, bound by bound.
     import classinv.groebner as gb
 
-    calls = []
-    real = gb._Engine.spoly
-    monkeypatch.setattr(gb._Engine, "spoly", lambda *a: calls.append(1) or real(*a))
+    calls = count_calls(monkeypatch, gb._Engine, "spoly")
     sources = [get_case(n).ideal("I") for n in ("gl2", "gl3", "sp4")]
     sources += [get_case("o3-I2").ideal(n) for n in ("J", "I2")]
+    per_bound = [0] * 10
     for source in sources:
         ideal = fresh(source)
         for p in range(10):
+            before = len(calls)
             hilbert_function(ideal, p)
+            per_bound[p] += len(calls) - before
+    assert per_bound == [0, 0, 0, 102, 273, 181, 3, 0, 0, 0]
     assert len(calls) == 559
+
+
+@pytest.mark.parametrize(
+    "family, column_weights, spolys, elements",
+    [
+        ("o3-I2", (-1, -2, -3), 178, 51),
+        # so3-I1 and so3-I2 share their fibre ideal L: two vectors for it
+        ("so3-I1", (-2, -5, -1), 76, 32),
+        ("so3-I2", (-4, -1, -3), 114, 43),
+    ],
+)
+def test_weighted_run_counts_pinned(monkeypatch, family, column_weights, spolys, elements):
+    # the w-compatible run on an inhomogeneous fibre ideal, as flat_limit
+    # makes it: S-polynomials, and elements added (the seeds included)
+    import classinv.groebner as gb
+    from classinv.degeneration import compatible_order, expand_column_weights
+
+    made = count_calls(monkeypatch, gb._Engine, "spoly")
+    added = count_calls(monkeypatch, gb._Run, "add_element")
+    case = get_case(family)
+    w = expand_column_weights(case.ring, column_weights, ["x", "y", "z"])
+    fresh(case.ideal("L")).groebner_basis(compatible_order(w))
+    assert (len(made), len(added)) == (spolys, elements)

@@ -1,20 +1,33 @@
-"""The packed-monomial helpers of the Buchberger engine against tuple oracles,
-and the clean error when an exponent outgrows its 7-bit field."""
+"""The packed-monomial helpers of the Buchberger engine and its divisor
+index against tuple oracles and linear scans, and the clean error when an
+exponent outgrows its 7-bit field."""
 
 import random
 
 import pytest
 
+from classinv.catalog import get_case
 from classinv.groebner import (
     Ideal,
+    _Divisors,
     _Engine,
     _minimal_monomials,
     _pack,
+    _Run,
     _unpack,
     certify_gb,
     groebner_basis,
+    normal_form,
 )
-from classinv.poly import GREVLEX, LEX, monomial_divides, parse_poly, ring, weighted_order
+from classinv.poly import (
+    GREVLEX,
+    LEX,
+    monomial_divides,
+    parse_poly,
+    ring,
+    serialize,
+    weighted_order,
+)
 
 MAX_EXP = 127
 
@@ -101,6 +114,72 @@ class TestPackedHelpers:
         assert [sum(m) for m in got] == sorted(sum(m) for m in got)
 
 
+def first_divisor(lts, m, skip=-1):
+    """The linear first-match scan that `_Divisors.find` must agree with."""
+    return next(
+        (i for i, lt in enumerate(lts) if i != skip and monomial_divides(lt, m)), None
+    )
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 5, 8])
+def test_divisor_index_matches_a_linear_scan(arity):
+    # leading terms join in batches between query rounds; the queries are
+    # repeated, so memoised hits and misses are asked again after appends
+    rng = random.Random(3000 + arity)
+    r = ring(*[f"x{i}" for i in range(arity)])
+    index = _Divisors(_Engine(r, GREVLEX).guard)
+    lts = []
+    queries = [tuple(rng.randint(0, 6) for _ in range(arity)) for _ in range(150)]
+    outcomes = set()
+    for _ in range(6):
+        for _ in range(rng.randint(1, 4)):
+            lt = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(arity))
+            if not any(lt):
+                continue  # the unit monomial would divide every query
+            lts.append(lt)
+            index.append((_pack(lt), 1, {_pack(lt): 1}))
+        for m in queries:
+            want = first_divisor(lts, m)
+            assert index.find(_pack(m)) == want, (lts, m)
+            outcomes.add(want is None)
+            skip = rng.randrange(len(lts))
+            assert index.find(_pack(m), skip) == first_divisor(lts, m, skip), (lts, m, skip)
+    assert outcomes == {True, False}
+
+
+def test_divisor_index_miss_then_hit_on_an_appended_entry():
+    r = ring("x", "y", "z")
+    index = _Divisors(_Engine(r, GREVLEX).guard)
+    m = _pack((2, 1, 0))
+    for lt in ((0, 0, 1), (0, 2, 0)):
+        index.append((_pack(lt), 1, {_pack(lt): 1}))
+    assert index.find(m) is None
+    index.append((_pack((3, 0, 0)), 1, {}))
+    assert index.find(m) is None
+    index.append((_pack((1, 1, 0)), 1, {}))
+    assert index.find(m) == 3
+    index.append((_pack((1, 0, 0)), 1, {}))
+    assert index.find(m) == 3  # still the first divisor, not the later x
+    assert index.find(m, skip=3) == 4
+
+
+@pytest.mark.parametrize(
+    "case, which, order",
+    [("o3-I2", "J", GREVLEX), ("gl2", "I", weighted_order([3, -1, 0, 2, -2, 1, 0, -1]))],
+)
+def test_reduced_after_resume_equals_a_fresh_basis(case, which, order):
+    # a run advanced to one bound, reduced, then resumed to the end
+    source = get_case(case).ideal(which)
+    run = _Run(source.ring, source.generators, order)
+    for bound in (2, 3):
+        assert not run.advance(bound)
+        want = Ideal(source.ring, source.generators).groebner_basis(order, bound)
+        assert [serialize(g) for g in run.reduced()] == [serialize(g) for g in want]
+    assert run.advance(None)
+    want = Ideal(source.ring, source.generators).groebner_basis(order)
+    assert [serialize(g) for g in run.reduced()] == [serialize(g) for g in want]
+
+
 def test_pack_rejects_exponent_128():
     with pytest.raises(OverflowError):
         _pack((0, 128, 1))
@@ -142,6 +221,23 @@ class TestExponentOverflow:
         # skips their S-pair, whose reduction would need y^128
         r = ring("x", "y")
         assert certify_gb([parse_poly("x - y", r), parse_poly("y^127 - y", r)], GREVLEX)
+
+    def test_normal_form_of_exponent_128_is_an_error(self):
+        # the exponent is in p; the remainder would be y^200 + x*y
+        r = ring("x", "y")
+        I = Ideal(r, [parse_poly("x^2 - y", r)])
+        with pytest.raises(OverflowError):
+            normal_form(parse_poly("x^3 + y^200", r), I)
+
+    def test_normal_form_overflow_in_a_reduction_is_an_error(self):
+        # x^64 fits, but its lex remainder modulo x - y^2 is y^128
+        r = ring("x", "y")
+        I = Ideal(r, [parse_poly("x - y^2", r)])
+        assert normal_form(parse_poly("x^63", r), I, LEX) == parse_poly("y^126", r)
+        with pytest.raises(OverflowError):
+            normal_form(parse_poly("x^64", r), I, LEX)
+        with pytest.raises(OverflowError):
+            I.contains(parse_poly("x^64 - y^128", r), LEX)
 
     def test_exponent_127_computes(self):
         r = ring("x", "y")

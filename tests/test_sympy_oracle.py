@@ -2,7 +2,8 @@
 random small ideals; weighted orders, which sympy lacks, are checked by
 the Buchberger certificate and ideal equality with the grevlex basis.
 Hilbert values and ideal membership are checked against counts from
-sympy's leading terms and `GroebnerBasis.contains`."""
+sympy's leading terms and `GroebnerBasis.contains`, and normal forms
+against the remainder of `sympy.reduced` modulo sympy's reduced basis."""
 
 import random
 from fractions import Fraction
@@ -149,3 +150,44 @@ def test_membership_matches_sympy_contains(seed):
         mixed.append(member + random_form(rng, r, degree - 1))
     for f in homogeneous + mixed:
         assert normal_form(f, I).is_zero() == G.contains(to_sympy(f, symbols)), str(f)
+
+
+def random_poly(rng, r, degree, homogeneous):
+    """1-4 terms with non-integer rational coefficients, of the given
+    degree or, unless homogeneous, of any degree up to it."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        d = degree if homogeneous else rng.randint(0, degree)
+        m = [0] * r.arity
+        for _ in range(d):
+            m[rng.randrange(r.arity)] += 1
+        terms[tuple(m)] = Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice((2, 3, 5, 9)))
+    return Polynomial(r, terms)
+
+
+@pytest.mark.parametrize("seed, homogeneous", CASES)
+@pytest.mark.parametrize("order, name", [(LEX, "lex"), (GREVLEX, "grevlex")])
+def test_normal_form_matches_sympy_remainder(seed, homogeneous, order, name):
+    # per degree: a member of the ideal, a random polynomial, and their sum,
+    # which has the random one's normal form; the member's normal form is 0
+    I = random_ideal(seed, homogeneous)
+    r = I.ring
+    symbols = sympy.symbols(r.variables)
+    G = sympy.groebner(
+        [to_sympy(g, symbols) for g in I.generators], *symbols, order=name, domain=sympy.QQ
+    )
+    rng = random.Random(700 + seed)
+    for degree in range(1, 5):
+        member = r.zero()
+        for g in I.generators:
+            if g.degree() <= degree:
+                member = member + g * random_poly(rng, r, degree - g.degree(), homogeneous)
+        other = random_poly(rng, r, degree, homogeneous)
+        for f in (member, other, member + other):
+            _, want = sympy.reduced(
+                to_sympy(f, symbols).as_expr(), G.exprs, *symbols, order=name, domain=sympy.QQ
+            )
+            got = normal_form(f, I, order)
+            assert to_sympy(got, symbols).as_expr() - want == 0, (str(f), str(got), want)
+        assert normal_form(member, I, order).is_zero()
+        assert normal_form(member + other, I, order) == normal_form(other, I, order)
