@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .groebner import Ideal
 from .linalg import det
+from .orbits import nilcone_dim, symplectic_reduction_orbit
 from .poly import Polynomial, Ring, parse_poly, ring
 
 Coeffs = Dict[str, Polynomial]
@@ -49,7 +50,6 @@ class TangentData:
     expected_rank: int
     lower_bound: int
     lower_citation: str
-    upper_bound: Optional[int] = None  # None: dim_module - rank
     rank_citation: str = ""
 
 
@@ -126,88 +126,113 @@ class UnsupportedIdeal(KeyError):
 # --------------------------------------------------------------------------
 # matrix helpers
 
+Matrix = List[List]  # entries are Fractions or Polynomials of one ring
+
 
 def _matrix_ring(letters: Sequence[str], rows: int) -> Ring:
     return ring(*[f"{c}{i}" for c in letters for i in range(1, rows + 1)])
 
 
-def _grid_ring(letter_rows: int, letter_cols: int, names: Tuple[str, str]) -> Ring:
-    a, b = names
-    vs = [f"{a}{i}{j}" for i in range(1, letter_rows + 1) for j in range(1, letter_cols + 1)]
-    vs += [f"{b}{i}{j}" for i in range(1, letter_rows + 1) for j in range(1, letter_cols + 1)]
-    return ring(*vs)
+def _grid_ring(*blocks: Tuple[str, int, int]) -> Tuple[Ring, List[Matrix]]:
+    """The ring of the entries {letter}{i}{j} of the given (letter, rows,
+    cols) matrices, block by block and row by row, and those matrices."""
+    r = ring(*[f"{a}{i}{j}" for a, m, n in blocks
+               for i in range(1, m + 1) for j in range(1, n + 1)])
+    mats = [[[r.var(f"{a}{i}{j}") for j in range(1, n + 1)] for i in range(1, m + 1)]
+            for a, m, n in blocks]
+    return r, mats
 
 
-def _columns(r: Ring, letters: Sequence[str], rows: int) -> Dict[str, List[Polynomial]]:
-    return {c: [r.var(f"{c}{i}") for i in range(1, rows + 1)] for c in letters}
+def _transpose(a: Matrix) -> Matrix:
+    return [list(col) for col in zip(*a)]
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    def dot(row, col):
+        terms = [x * y for x, y in zip(row, col)]
+        return sum(terms[1:], terms[0])
+
+    cols = _transpose(b)
+    return [[dot(row, col) for col in cols] for row in a]
+
+
+def _upper(a: Matrix, offset: int = 0) -> list:
+    """The entries a[i][j] with j >= i + offset, row by row."""
+    return [a[i][j] for i in range(len(a)) for j in range(i + offset, len(a[i]))]
+
+
+def _nilcone_case(name: str, situation: str, params: Tuple[int, ...], r: Ring,
+                  fft: List[Polynomial], title: str, citation: str) -> CaseSpec:
+    """A case that only checks the Krull dimension of its nilcone ideal J
+    against the closed form."""
+    case = CaseSpec(name=name, situation=situation, params=params, ring=r, title=title, fft=fft)
+    case.ideals["J"] = Ideal(r, fft)
+    case.expected["nilcone-dim"] = Expected(nilcone_dim(situation, params), citation)
+    case.checks = [NILCONE_KRULL]
+    return case
+
+
+def _moment_case(name: str, situation: str, params: Tuple[int, ...], r: Ring,
+                 gens: List[Polynomial], title: str, orbit, orbit_citation: str) -> CaseSpec:
+    """A moment-fiber case: the moment ideal, its closed-form dimension,
+    and the symplectic reduction's orbit label(s)."""
+    case = CaseSpec(name=name, situation=situation, params=params, ring=r, title=title)
+    case.ideals["moment"] = Ideal(r, gens)
+    case.expected["moment-dim"] = Expected(
+        nilcone_dim(situation, params), "moment-fiber dimension, closed form"
+    )
+    label = " / ".join(map(str, orbit)) if isinstance(orbit, tuple) else str(orbit)
+    case.expected["reduction-orbit"] = Expected(label, orbit_citation)
+    case.checks = [MOMENT_KRULL, REDUCTION_ORBIT]
+    return case
 
 
 # --------------------------------------------------------------------------
 # bilinear cases (pairing of a space with its dual)
 
 
-def _bilinear_ring(n: int, n1: int, n2: int) -> Ring:
-    names = [f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n1 + 1)]
-    names += [f"b{i}{j}" for i in range(1, n2 + 1) for j in range(1, n + 1)]
-    return ring(*names)
-
-
-def _bilinear_fft(r: Ring, n: int, n1: int, n2: int) -> List[Polynomial]:
-    """Entries of the composite map: the n1*n2 contractions b . a."""
-    out = []
-    for i in range(1, n2 + 1):
-        for j in range(1, n1 + 1):
-            s = r.zero()
-            for c in range(1, n + 1):
-                s = s + r.var(f"b{i}{c}") * r.var(f"a{c}{j}")
-            out.append(s)
-    return out
-
-
-def _make_bilinear_nilcone_case(name: str, n: int, n1: int, n2: int) -> CaseSpec:
-    from .orbits import nilcone_dim
-
-    r = _bilinear_ring(n, n1, n2)
-    fft = _bilinear_fft(r, n, n1, n2)
-    case = CaseSpec(
-        name=name,
-        situation="GL",
-        params=(n, n1, n2),
-        ring=r,
-        title=f"bilinear contraction nilcone, parameters ({n},{n1},{n2})",
-        fft=fft,
-    )
-    case.ideals["J"] = Ideal(r, fft)
-    case.expected["nilcone-dim"] = Expected(
-        nilcone_dim("GL", (n, n1, n2)),
+def _bilinear_nilcone_case(n: int, n1: int, n2: int) -> CaseSpec:
+    """The GL nilcone case: J is generated by the n2*n1 entries of b . a."""
+    r, (a, b) = _grid_ring(("a", n, n1), ("b", n2, n))
+    return _nilcone_case(
+        f"glnil-{n}-{n1}-{n2}", "GL", (n, n1, n2), r,
+        [v for row in _matmul(b, a) for v in row],
+        f"bilinear contraction nilcone, parameters ({n},{n1},{n2})",
         "nilcone dimension, closed form for the bilinear situation",
     )
-    case.checks = [NILCONE_KRULL]
-    return case
+
+
+def _o_nilcone_case(n: int, nprime: int) -> CaseSpec:
+    """The Gram entries w^T w, upper triangle."""
+    r, (w,) = _grid_ring(("w", n, nprime))
+    return _nilcone_case(
+        f"onil-{n}-{nprime}", "O", (n, nprime), r, _upper(_matmul(_transpose(w), w)),
+        f"orthogonal nilcone, parameters ({n},{nprime})", "nilcone dimension, closed form",
+    )
+
+
+def _gl_pieces(n: int):
+    """The ring of two n-by-n matrices x and y, their entries and those of
+    u2 keyed by one-based (row, column), the contractions f = u2 . x, and
+    the products h of the first columns of x and y.  The second matrix is
+    written anti-diagonally: entry (a, c) of u2 is y[n+1-c, n+1-a]."""
+    r, (xm, ym) = _grid_ring(("x", n, n), ("y", n, n))
+    u2m = [[ym[n - 1 - c][n - 1 - a] for c in range(n)] for a in range(n)]
+    fs = [v for row in _matmul(u2m, xm) for v in row]
+    hs = [xm[i][0] * ym[j][0] for i in range(n) for j in range(n)]
+    x, y, u2 = ({(i + 1, j + 1): v for i, row in enumerate(m) for j, v in enumerate(row)}
+                for m in (xm, ym, u2m))
+    return r, x, y, u2, fs, hs
 
 
 # --------------------------------------------------------------------------
 # GL2
 
 
-def _gl2_pieces():
-    r = _grid_ring(2, 2, ("x", "y"))
-    x = {(i, j): r.var(f"x{i}{j}") for i in (1, 2) for j in (1, 2)}
-    y = {(i, j): r.var(f"y{i}{j}") for i in (1, 2) for j in (1, 2)}
-    # the second matrix is written anti-diagonally: entry (a,c) is y[3-c,3-a]
-    u2 = {(a, c): y[(3 - c, 3 - a)] for a in (1, 2) for c in (1, 2)}
-    fs = []
-    for a in (1, 2):
-        for b in (1, 2):
-            fs.append(sum((u2[(a, c)] * x[(c, b)] for c in (1, 2)), r.zero()))
-    hs = [x[(i, 1)] * y[(j, 1)] for i in (1, 2) for j in (1, 2)]
-    return r, x, y, fs, hs
-
-
 def build_gl2() -> CaseSpec:
     from .reptheory import GroupType, classical_hilbert
 
-    r, x, y, fs, hs = _gl2_pieces()
+    r, _, _, _, fs, hs = _gl_pieces(2)
     P = lambda t: parse_poly(t, r)
     case = CaseSpec(
         name="gl2",
@@ -226,7 +251,7 @@ def build_gl2() -> CaseSpec:
         "classical Hilbert function of the fixed point, squared-dimension sum",
     )
     case.expected["nilcone-dim"] = Expected(
-        5, "nilcone dimension, closed form (even branch)"
+        nilcone_dim("GL", (2, 2, 2)), "nilcone dimension, closed form (even branch)"
     )
 
     def coeffs(**kw) -> Coeffs:
@@ -311,11 +336,8 @@ GL3_HILBERT_COEFFS: Tuple[Fraction, ...] = (
 )
 
 
-def _gl3_pieces():
-    r = _grid_ring(3, 3, ("x", "y"))
-    x = {(i, j): r.var(f"x{i}{j}") for i in (1, 2, 3) for j in (1, 2, 3)}
-    y = {(i, j): r.var(f"y{i}{j}") for i in (1, 2, 3) for j in (1, 2, 3)}
-    u2 = {(a, c): y[(4 - c, 4 - a)] for a in (1, 2, 3) for c in (1, 2, 3)}
+def build_gl3() -> CaseSpec:
+    r, x, y, u2, fs, hs = _gl_pieces(3)
 
     def yminor(rows, cols):
         (r1, r2), (c1, c2) = rows, cols
@@ -325,20 +347,10 @@ def _gl3_pieces():
         (r1, r2), (c1, c2) = rows, cols
         return x[(r1, c1)] * x[(r2, c2)] - x[(r1, c2)] * x[(r2, c1)]
 
-    fs = []
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            fs.append(sum((u2[(a, c)] * x[(c, b)] for c in (1, 2, 3)), r.zero()))
-    hs = [x[(i, 1)] * y[(j, 1)] for i in (1, 2, 3) for j in (1, 2, 3)]
     s_labels = [(1, (2, 3)), (1, (1, 3)), (2, (1, 3)), (1, (1, 2)), (2, (1, 2)), (3, (1, 2))]
     t_labels = [(1, (1, 2)), (1, (1, 3)), (2, (1, 3)), (1, (2, 3)), (2, (2, 3)), (3, (2, 3))]
     ss = [x[(i, 2)] * yminor((2, 3), cd) for (i, cd) in s_labels]
     ts = [y[(i, 2)] * xminor(rp, (1, 2)) for (i, rp) in t_labels]
-    return r, x, y, u2, yminor, xminor, fs, hs, ss, ts, s_labels, t_labels
-
-
-def build_gl3() -> CaseSpec:
-    r, x, y, u2, yminor, xminor, fs, hs, ss, ts, s_labels, t_labels = _gl3_pieces()
     P = lambda t: parse_poly(t, r)
     case = CaseSpec(
         name="gl3",
@@ -455,7 +467,9 @@ def build_o2() -> CaseSpec:
     case.expected["hilbert-J-2"] = Expected(
         7, "quotient basis count in degree two (monomial enumeration)"
     )
-    case.expected["nilcone-dim"] = Expected(2, "two isotropic components of dimension 2")
+    case.expected["nilcone-dim"] = Expected(
+        nilcone_dim("O", (2, 2)), "two isotropic components of dimension 2"
+    )
     rels = [
         ("r1", {"f3": P("x1"), "f1": -P("y1"), "h1": -P("y2")}),
         ("r2", {"f1": P("x2"), "h2": -P("x1")}),
@@ -490,10 +504,6 @@ def build_o2() -> CaseSpec:
 
 # --------------------------------------------------------------------------
 # O3 / SO3 shared ambient
-
-
-def _triple_ring() -> Ring:
-    return ring("x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2", "z3")
 
 
 def _o3_quadrics(r: Ring) -> List[Polynomial]:
@@ -572,7 +582,7 @@ SO3_PRINTED_BASIS: Tuple[str, ...] = (
 
 
 def build_o3() -> CaseSpec:
-    r = _triple_ring()
+    r = _matrix_ring("xyz", 3)
     P = lambda t: parse_poly(t, r)
     quadrics = _o3_quadrics(r)
     case = CaseSpec(
@@ -628,7 +638,9 @@ def build_o3() -> CaseSpec:
         {0: 1, 1: 9, 2: 34, 3: 75, 4: 130, 5: 202},
         "fixed-point Hilbert values; 8p^2 + 2 from degree four on",
     )
-    case.expected["nilcone-dim"] = Expected(4, "odd-dimension branch of the nilcone formula")
+    case.expected["nilcone-dim"] = Expected(
+        nilcone_dim("O", (3, 3)), "odd-dimension branch of the nilcone formula"
+    )
 
     # tangent data: value tuples of the displayed morphism family on the
     # sixteen generators (table row order), plus the seven combinations
@@ -711,7 +723,7 @@ def build_o3() -> CaseSpec:
 
 
 def build_so3(which: str) -> CaseSpec:
-    r = _triple_ring()
+    r = _matrix_ring("xyz", 3)
     P = lambda t: parse_poly(t, r)
     quadrics = _o3_quadrics(r)
     xx, yy, zz, xy, xz, yz = quadrics
@@ -856,9 +868,9 @@ SP4_HILBERT_COEFFS: Tuple[Fraction, ...] = (
 
 
 def build_sp4() -> CaseSpec:
-    r = _matrix_ring(("x", "y", "z", "t"), 4)
+    r = _matrix_ring("xyzt", 4)
     P = lambda t: parse_poly(t, r)
-    cols = _columns(r, ("x", "y", "z", "t"), 4)
+    cols = {c: [r.var(f"{c}{i}") for i in range(1, 5)] for c in "xyzt"}
 
     def omega(a: str, b: str) -> Polynomial:
         # the symplectic pairing in the coordinates the generator display uses:
@@ -889,7 +901,9 @@ def build_sp4() -> CaseSpec:
     case.expected["hilbert-coeffs"] = Expected(
         SP4_HILBERT_COEFFS, "classical Hilbert function, degree-9 closed form"
     )
-    case.expected["nilcone-dim"] = Expected(10, "symplectic nilcone closed form")
+    case.expected["nilcone-dim"] = Expected(
+        nilcone_dim("Sp", (4, 4)), "symplectic nilcone closed form"
+    )
     rels = [
         ("r1", {"h2": -P("z4"), "h3": P("z3"), "h5": -P("z1"),
                 "f1": P("z4"), "f2": -P("y4"), "f4": P("x4")}),
@@ -920,8 +934,7 @@ def build_sp4() -> CaseSpec:
 
 
 def build_sl(n: int, nprime: int) -> CaseSpec:
-    names = [f"w{i}{j}" for i in range(1, n + 1) for j in range(1, nprime + 1)]
-    r = ring(*names)
+    r, _ = _grid_ring(("w", n, nprime))
     from itertools import combinations
 
     fft = []
@@ -967,124 +980,50 @@ def _minor(r: Ring, letter: str, rows: Sequence[int], cols: Sequence[int]) -> Po
 
 
 def build_glsym(n: int, d: int, moment_krull: bool = True) -> CaseSpec:
-    from .orbits import nilcone_dim, symplectic_reduction_orbit
-
-    names = [f"a{i}{j}" for i in range(1, n + 1) for j in range(1, d + 1)]
-    names += [f"b{i}{j}" for i in range(1, d + 1) for j in range(1, n + 1)]
-    r = ring(*names)
-    gens = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            s = r.zero()
-            for c in range(1, d + 1):
-                s = s + r.var(f"a{i}{c}") * r.var(f"b{c}{j}")
-            gens.append(s)
-    case = CaseSpec(
-        name=f"glsym-n{n}-d{d}",
-        situation="GLsym",
-        params=(n, d),
-        ring=r,
-        title=f"bilinear moment fiber, parameters ({n},{d})",
-    )
-    case.ideals["moment"] = Ideal(r, gens)
-    case.expected["moment-dim"] = Expected(
-        nilcone_dim("GLsym", (n, d)), "moment-fiber dimension, closed form"
-    )
-    case.expected["reduction-orbit"] = Expected(
-        str(symplectic_reduction_orbit("GL", n, d)),
+    r, (a, b) = _grid_ring(("a", n, d), ("b", d, n))
+    case = _moment_case(
+        f"glsym-n{n}-d{d}", "GLsym", (n, d), r, [v for row in _matmul(a, b) for v in row],
+        f"bilinear moment fiber, parameters ({n},{d})",
+        symplectic_reduction_orbit("GL", n, d),
         "symplectic reduction as a nilpotent orbit closure",
     )
-    case.checks = [MOMENT_KRULL, REDUCTION_ORBIT] if moment_krull else [REDUCTION_ORBIT]
+    if not moment_krull:
+        case.checks = [REDUCTION_ORBIT]
     return case
 
 
 def build_osym(n: int, d: int) -> CaseSpec:
-    from .orbits import nilcone_dim, symplectic_reduction_orbit
-
-    names = [f"w{i}{j}" for i in range(1, n + 1) for j in range(1, 2 * d + 1)]
-    r = ring(*names)
+    r, (w,) = _grid_ring(("w", n, 2 * d))
     # w J' (w transpose), J' the standard block antisymmetric form on 2d columns
-    gens = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            s = r.zero()
-            for c in range(1, d + 1):
-                s = s + r.var(f"w{i}{2*c-1}") * r.var(f"w{j}{2*c}")
-                s = s - r.var(f"w{i}{2*c}") * r.var(f"w{j}{2*c-1}")
-            gens.append(s)
-    case = CaseSpec(
-        name=f"osym-n{n}-d{d}",
-        situation="Osym",
-        params=(n, d),
-        ring=r,
-        title=f"orthogonal moment fiber, parameters ({n},{d})",
-    )
-    case.ideals["moment"] = Ideal(r, gens)
-    case.expected["moment-dim"] = Expected(
-        nilcone_dim("Osym", (n, d)), "moment-fiber dimension, closed form"
-    )
-    case.expected["reduction-orbit"] = Expected(
-        str(symplectic_reduction_orbit("O", n, d)),
+    J = [[0] * (2 * d) for _ in range(2 * d)]
+    for c in range(0, 2 * d, 2):
+        J[c][c + 1], J[c + 1][c] = 1, -1
+    return _moment_case(
+        f"osym-n{n}-d{d}", "Osym", (n, d), r, _upper(_matmul(w, _matmul(J, _transpose(w))), 1),
+        f"orthogonal moment fiber, parameters ({n},{d})",
+        symplectic_reduction_orbit("O", n, d),
         "symplectic reduction as a nilpotent orbit closure",
     )
-    case.checks = [MOMENT_KRULL, REDUCTION_ORBIT]
-    return case
 
 
 def build_spsym(n_half: int, d: int) -> CaseSpec:
-    from .orbits import nilcone_dim, symplectic_reduction_orbit
-
     n = 2 * n_half
-    names = [f"w{i}{j}" for i in range(1, n + 1) for j in range(1, 2 * d + 1)]
-    r = ring(*names)
+    r, (w,) = _grid_ring(("w", n, 2 * d))
     # w (w transpose): symmetric, upper entries
-    gens = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            s = r.zero()
-            for c in range(1, 2 * d + 1):
-                s = s + r.var(f"w{i}{c}") * r.var(f"w{j}{c}")
-            gens.append(s)
-    case = CaseSpec(
-        name=f"spsym-n{n_half}-d{d}",
-        situation="Spsym",
-        params=(n, d),
-        ring=r,
-        title=f"symplectic moment fiber, parameters ({n},{d})",
-    )
-    case.ideals["moment"] = Ideal(r, gens)
-    case.expected["moment-dim"] = Expected(
-        nilcone_dim("Spsym", (n, d)), "moment-fiber dimension, closed form"
-    )
-    orb = symplectic_reduction_orbit("Sp", n_half, d)
-    case.expected["reduction-orbit"] = Expected(
-        str(orb) if not isinstance(orb, tuple) else f"{orb[0]} / {orb[1]}",
+    return _moment_case(
+        f"spsym-n{n_half}-d{d}", "Spsym", (n, d), r, _upper(_matmul(w, _transpose(w))),
+        f"symplectic moment fiber, parameters ({n},{d})",
+        symplectic_reduction_orbit("Sp", n_half, d),
         "symplectic reduction as nilpotent orbit closure(s)",
     )
-    case.checks = [MOMENT_KRULL, REDUCTION_ORBIT]
-    return case
 
 
 # --------------------------------------------------------------------------
 # quotient maps and moment maps on rational points
 
 
-Matrix = List[List[Fraction]]
-
-
 def _mat(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(v) for v in row] for row in rows]
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def _transpose(a: Matrix) -> Matrix:
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
 def quotient_image(case: CaseSpec, point) -> object:
@@ -1140,11 +1079,11 @@ _BUILDERS: Dict[str, Callable[[], CaseSpec]] = {
     "so3-I2": lambda: build_so3("I2"),
     "sp4": build_sp4,
     "sl-2-3": lambda: build_sl(2, 3),
-    "glnil-2-2-1": lambda: _make_bilinear_nilcone_case("glnil-2-2-1", 2, 2, 1),
-    "glnil-1-1-1": lambda: _make_bilinear_nilcone_case("glnil-1-1-1", 1, 1, 1),
-    "glnil-1-2-2": lambda: _make_bilinear_nilcone_case("glnil-1-2-2", 1, 2, 2),
-    "glnil-1-3-3": lambda: _make_bilinear_nilcone_case("glnil-1-3-3", 1, 3, 3),
-    "onil-3-2": lambda: _make_o_nilcone_case(3, 2),
+    "glnil-2-2-1": lambda: _bilinear_nilcone_case(2, 2, 1),
+    "glnil-1-1-1": lambda: _bilinear_nilcone_case(1, 1, 1),
+    "glnil-1-2-2": lambda: _bilinear_nilcone_case(1, 2, 2),
+    "glnil-1-3-3": lambda: _bilinear_nilcone_case(1, 3, 3),
+    "onil-3-2": lambda: _o_nilcone_case(3, 2),
     "glsym-n2-d2": lambda: build_glsym(2, 2),
     "glsym-n1-d2": lambda: build_glsym(1, 2),
     # no moment-krull check yet: adding it changes `run --all` (ROADMAP item 1)
@@ -1154,34 +1093,6 @@ _BUILDERS: Dict[str, Callable[[], CaseSpec]] = {
 }
 
 _CACHE: Dict[str, CaseSpec] = {}
-
-
-def _make_o_nilcone_case(n: int, nprime: int) -> CaseSpec:
-    from .orbits import nilcone_dim
-
-    names = [f"w{i}{j}" for i in range(1, n + 1) for j in range(1, nprime + 1)]
-    r = ring(*names)
-    gens = []
-    for i in range(1, nprime + 1):
-        for j in range(i, nprime + 1):
-            s = r.zero()
-            for c in range(1, n + 1):
-                s = s + r.var(f"w{c}{i}") * r.var(f"w{c}{j}")
-            gens.append(s)
-    case = CaseSpec(
-        name=f"onil-{n}-{nprime}",
-        situation="O",
-        params=(n, nprime),
-        ring=r,
-        title=f"orthogonal nilcone, parameters ({n},{nprime})",
-        fft=gens,
-    )
-    case.ideals["J"] = Ideal(r, gens)
-    case.expected["nilcone-dim"] = Expected(
-        nilcone_dim("O", (n, nprime)), "nilcone dimension, closed form"
-    )
-    case.checks = [NILCONE_KRULL]
-    return case
 
 
 def case_names() -> List[str]:

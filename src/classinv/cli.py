@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional
 
 from . import catalog, checks, degeneration, orbits, tangent
@@ -118,26 +117,21 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    params = tuple(int(v) for v in args.params.split(","))
     sit = args.situation
     try:
+        params = tuple(int(v) for v in args.params.split(","))
         print(f"situation {sit}, parameters {params}")
         print(f"  nilcone dimension: {orbits.nilcone_dim(sit, params)}")
         if sit in ("GL", "O", "Sp"):
             locus = orbits.flatness_locus(sit, params)
             print(f"  flatness locus (stratum indices): {locus}")
             print(f"  flat everywhere: {orbits.flat_everywhere(sit, params)}")
-            if sit == "GL":
-                N = min(params)
-            elif sit == "O":
-                N = min(params)
-            else:
-                N = min(params[1] // 2, params[0] // 2)
+            N = orbits.max_rank(sit, params)
             fibers = [orbits.fiber_dim(sit, params, r) for r in range(N + 1)]
             print(f"  fiber dimensions by stratum: {fibers}")
         if sit in ("GL", "O", "SL", "SO", "Sp"):
             print(f"  gorenstein: {orbits.gorenstein(sit, params)}")
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

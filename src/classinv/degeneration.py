@@ -25,9 +25,9 @@ when one of these holds; otherwise the limit computes its own.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .groebner import Ideal, _with_reduced_basis, certify_gb
+from .groebner import Ideal, _with_reduced_basis
 from .poly import GREVLEX, MonomialOrder, Polynomial, Ring, initial_form, weighted_order
 
 
@@ -56,17 +56,9 @@ def compatible_order(w: Sequence[int]) -> MonomialOrder:
     return weighted_order(w)
 
 
-def certified_basis(ideal: Ideal, w: Sequence[int], basis: Optional[Sequence[Polynomial]] = None) -> List[Polynomial]:
-    """A Groebner basis of the ideal under the w-compatible order.
-
-    If a candidate basis is supplied and passes the Buchberger
-    certificate under that order, it is used directly; otherwise the
-    reduced basis is recomputed.
-    """
-    order = compatible_order(w)
-    if basis is not None and certify_gb(list(basis), order):
-        return list(basis)
-    return ideal.groebner_basis(order)
+def certified_basis(ideal: Ideal, w: Sequence[int]) -> List[Polynomial]:
+    """The reduced Groebner basis of the ideal under the w-compatible order."""
+    return ideal.groebner_basis(compatible_order(w))
 
 
 def flat_limit(ideal: Ideal, w: Sequence[int]) -> Ideal:
@@ -82,9 +74,7 @@ def flat_limit(ideal: Ideal, w: Sequence[int]) -> Ideal:
     return Ideal(ideal.ring, forms)
 
 
-def family_member(
-    ideal: Ideal, w: Sequence[int], t: Fraction, basis: Optional[Sequence[Polynomial]] = None
-) -> Ideal:
+def family_member(ideal: Ideal, w: Sequence[int], t: Fraction) -> Ideal:
     """The fiber of the family at a nonzero parameter value.
 
     Each basis element g becomes t^m g(t^{w_1} v_1, ...), scaled by the
@@ -94,7 +84,7 @@ def family_member(
     t = Fraction(t)
     if t == 0:
         raise ValueError("use flat_limit for the zero fiber")
-    gb = certified_basis(ideal, w, basis)
+    gb = certified_basis(ideal, w)
     gens = []
     for g in gb:
         weights = {m: sum(wi * e for wi, e in zip(w, m)) for m in g.terms}

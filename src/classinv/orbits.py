@@ -193,12 +193,31 @@ def has_symplectic_resolution(label: OrbitLabel) -> bool:
     return False
 
 
+_ARITY = {"GL": 3, "SL": 2, "O": 2, "SO": 2, "Sp": 2, "GLsym": 2, "Osym": 2, "Spsym": 2}
+
+
+def _params(situation: str, params: Sequence[int]) -> Tuple[int, ...]:
+    """The parameters of a situation, checked: the right count, each at
+    least 1, and an even ambient dimension for the symplectic group."""
+    if situation not in _ARITY:
+        raise ValueError(f"unsupported situation {situation!r}")
+    params = tuple(params)
+    if len(params) != _ARITY[situation]:
+        raise ValueError(f"{situation} takes {_ARITY[situation]} parameters, got {len(params)}")
+    if min(params) < 1:
+        raise ValueError(f"parameters must be at least 1, got {params}")
+    if situation in ("Sp", "Spsym") and params[0] % 2:
+        raise ValueError(f"{situation} needs an even ambient dimension, got {params[0]}")
+    return params
+
+
 def gorenstein(situation: str, params: Sequence[int]) -> bool:
     """Gorenstein predicate for the invariant-theory quotients.
 
     GL (determinantal): n1 == n2.  O (symmetric determinantal): n' - n odd.
     SL, SO, Sp: always (semisimple or trivial character group).
     """
+    params = _params(situation, params)
     if situation == "GL":
         n, n1, n2 = params
         return n1 == n2
@@ -210,31 +229,26 @@ def gorenstein(situation: str, params: Sequence[int]) -> bool:
     raise ValueError(f"unsupported situation {situation!r}")
 
 
-def nilcone_dim(situation: str, params: Sequence[int]) -> int:
-    """Closed-form dimension of the zero fiber of the quotient map."""
-    if situation == "GL":
-        n, n1, n2 = params
-        if n <= n2 - n1:
-            return n * n2
-        if n <= n1 - n2:
-            return n * n1
-        if n >= n1 + n2:
-            return n * n1 + n * n2 - n1 * n2
-        # quarter-integer closed form; the odd-parity case drops exactly 1/4,
-        # so integer floor division covers both branches
-        return (n * (n + 2 * n1 + 2 * n2) + (n1 - n2) ** 2) // 4
-    if situation == "O":
-        n, nprime = params
-        if 2 * nprime < n:
-            return n * nprime - nprime * (nprime + 1) // 2
-        if n % 2 == 0:
-            return (4 * n * nprime + n * n - 2 * n) // 8
-        return (4 * nprime * (n - 1) + n * n - 1) // 8
+def max_rank(situation: str, params: Sequence[int]) -> int:
+    """The largest rank N of a quotient point; the strata are 0..N.  For SL
+    the strata are the origin and, when n' >= n, the nonzero minor vectors."""
+    params = _params(situation, params)
+    if situation in ("GL", "O", "SO"):
+        return min(params)
     if situation == "Sp":
         n, nprime = params
-        if nprime <= n:
-            return n * nprime - nprime * (nprime - 1) // 2
-        return (4 * n * nprime + n * n + 2 * n) // 8
+        return min(nprime // 2, n // 2)
+    if situation == "SL":
+        n, nprime = params
+        return 1 if nprime >= n else 0
+    raise ValueError(f"unsupported situation {situation!r}")
+
+
+def nilcone_dim(situation: str, params: Sequence[int]) -> int:
+    """Closed-form dimension of the zero fiber of the quotient map."""
+    params = _params(situation, params)
+    if situation in ("GL", "O", "Sp"):
+        return fiber_dim(situation, params, 0)
     if situation == "GLsym":
         n, d = params
         if d >= 2 * n:
@@ -257,11 +271,12 @@ def nilcone_dim(situation: str, params: Sequence[int]) -> int:
 
 def fiber_dim(situation: str, params: Sequence[int], r: int) -> int:
     """Dimension of the quotient-map fiber over the rank-r stratum point."""
+    if situation not in ("GL", "O", "Sp"):
+        raise ValueError(f"unsupported situation {situation!r}")
+    if not 0 <= r <= max_rank(situation, params):
+        raise ValueError("r out of range")
     if situation == "GL":
         n, n1, n2 = params
-        N = min(n, n1, n2)
-        if not 0 <= r <= N:
-            raise ValueError("r out of range")
         if n - r <= n2 - n1:
             return n * n2 + n * r - n2 * r
         if n - r <= n1 - n2:
@@ -276,9 +291,6 @@ def fiber_dim(situation: str, params: Sequence[int], r: int) -> int:
         return (base - 1) // 4
     if situation == "O":
         n, nprime = params
-        N = min(n, nprime)
-        if not 0 <= r <= N:
-            raise ValueError("r out of range")
         if 2 * nprime - r < n:
             return nprime * n - nprime * (nprime + 1) // 2
         if (n - r) % 2 == 0:
@@ -287,28 +299,23 @@ def fiber_dim(situation: str, params: Sequence[int], r: int) -> int:
             num = 4 * nprime * (n - r - 1) + (r + n) ** 2 - 1
         assert num % 8 == 0
         return num // 8
-    if situation == "Sp":
-        n, nprime = params
-        N = min(nprime // 2, n // 2)
-        if not 0 <= r <= N:
-            raise ValueError("r out of range")
-        if nprime - r <= n // 2:
-            return nprime * n - nprime * (nprime - 1) // 2
-        num = 4 * nprime * (n - 2 * r) + (n + 2 * r) ** 2 + 2 * (n + 2 * r)
-        assert num % 8 == 0
-        return num // 8
-    raise ValueError(f"unsupported situation {situation!r}")
+    n, nprime = params
+    if nprime - r <= n // 2:
+        return nprime * n - nprime * (nprime - 1) // 2
+    num = 4 * nprime * (n - 2 * r) + (n + 2 * r) ** 2 + 2 * (n + 2 * r)
+    assert num % 8 == 0
+    return num // 8
 
 
 def flatness_locus(situation: str, params: Sequence[int]) -> List[int]:
     """Indices of the quotient strata over which the quotient map is flat.
 
-    Strata are indexed 0..N with N the maximal rank; the returned list is
+    Strata are indexed 0..N with N = `max_rank`; the returned list is
     the flat locus, e.g. list(range(N+1)) means flat everywhere.
     """
+    N = max_rank(situation, params)
     if situation == "GL":
         n, n1, n2 = params
-        N = min(n, n1, n2)
         if n > max(n1, n2):
             lo = max(n1 + n2 - n - 1, 0)
             return list(range(lo, N + 1))
@@ -317,7 +324,6 @@ def flatness_locus(situation: str, params: Sequence[int]) -> List[int]:
         return [N]
     if situation in ("O", "SO"):
         n, nprime = params
-        N = min(n, nprime)
         if nprime < n:
             lo = max(2 * nprime - n - 1, 0)
             return list(range(lo, N + 1))
@@ -326,33 +332,18 @@ def flatness_locus(situation: str, params: Sequence[int]) -> List[int]:
         return [N]
     if situation == "Sp":
         n, nprime = params
-        N = min(nprime // 2, n // 2)
         if nprime < n:
             lo = max(nprime - n // 2 - 1, 0)
             return list(range(lo, N + 1))
         if nprime == n:
             return [i for i in (N - 1, N) if i >= 0]
         return [N]
-    if situation == "SL":
-        n, nprime = params
-        if nprime <= n or n == 1:
-            return [0, 1] if nprime >= n else [0]
-        return [1]
-    raise ValueError(f"unsupported situation {situation!r}")
+    n, nprime = params
+    if nprime <= n or n == 1:
+        return [0, 1] if nprime >= n else [0]
+    return [1]
 
 
 def flat_everywhere(situation: str, params: Sequence[int]) -> bool:
-    """Whole-quotient flatness predicate per situation."""
-    if situation == "GL":
-        n, n1, n2 = params
-        return n >= n1 + n2 - 1
-    if situation in ("O", "SO"):
-        n, nprime = params
-        return n >= 2 * nprime - 1
-    if situation == "Sp":
-        n, nprime = params
-        return n + 2 >= 2 * nprime
-    if situation == "SL":
-        n, nprime = params
-        return nprime <= n or n == 1
-    raise ValueError(f"unsupported situation {situation!r}")
+    """Whole-quotient flatness: the flatness locus is every stratum."""
+    return flatness_locus(situation, params) == list(range(max_rank(situation, params) + 1))

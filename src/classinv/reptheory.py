@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,6 @@ class GroupType:
 
     def __str__(self) -> str:
         return f"{self.family}({self.n})"
-
-
-GL = lambda n: GroupType("GL", n)
-SP = lambda n: GroupType("Sp", n)
-SO = lambda n: GroupType("SO", n)
-ORTH = lambda n: GroupType("O", n)
 
 
 @dataclass(frozen=True)

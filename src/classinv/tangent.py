@@ -194,15 +194,12 @@ def tangent_report(case_or_name) -> TangentReport:
         for name, rel in data.relations
     ]
     rank = rank_lower_bound(data.morphisms, data.relations, ideal)
-    upper = data.upper_bound
-    if upper is None:
-        upper = data.dim_module - rank
     return TangentReport(
         case.name,
         generates,
         rel_results,
         rank,
         data.expected_rank,
-        (data.lower_bound, upper),
+        (data.lower_bound, data.dim_module - rank),
         [],
     )

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from classinv import catalog
 from classinv.catalog import UnsupportedIdeal, get_case, quotient_image
 from classinv.groebner import normal_form
 from classinv.poly import parse_poly, serialize
+
+GOLDEN_CATALOG = Path(__file__).resolve().parent / "golden" / "catalog.txt"
 
 
 def test_registry_is_stable():
@@ -174,3 +177,51 @@ def test_quotient_image_rank_pattern_and_zero():
     sp = get_case("sp4")
     zero = [[0] * 4 for _ in range(4)]
     assert quotient_image(sp, zero) == [[0] * 4 for _ in range(4)]
+
+
+def _dump_coeffs(named):
+    return " ".join(f"{k}={serialize(v)}" for k, v in named.items())
+
+
+def dump_catalog() -> str:
+    """Every case's declared data as text: the ring, `fft`, the generators of
+    each ideal and quotient ideal in order, components, degenerations,
+    tangent and independence data, the `expected` keys with their
+    citations, and the checks.  Expected values are left out."""
+    lines = []
+    for name in catalog.case_names():
+        case = get_case(name)
+        lines.append(f"case {case.name} {case.situation} {case.params} {case.title}")
+        lines.append(f"  ring {' '.join(case.ring.variables)}")
+        lines += [f"  fft {serialize(g)}" for g in case.fft]
+        for table in (case.ideals, case.quotient_ideals):
+            for which, ideal in table.items():
+                lines.append(f"  ideal {which} in {' '.join(ideal.ring.variables)}")
+                lines += [f"    {serialize(g)}" for g in ideal.generators]
+        for which, ideal in case.components:
+            lines.append(f"  component {which}")
+            lines += [f"    {serialize(g)}" for g in ideal.generators]
+        for d in case.degenerations:
+            lines.append(f"  degeneration {d.source} {d.column_weights} {d.target} {d.citation}")
+        for key, exp in case.expected.items():
+            lines.append(f"  expected {key}: {exp.citation}")
+        t = case.tangent
+        if t is not None:
+            lines.append(f"  tangent dim_module={t.dim_module} rank={t.expected_rank} "
+                         f"lower={t.lower_bound} {t.lower_citation} / {t.rank_citation}")
+            lines += [f"    generator {g} {serialize(p)}" for g, p in t.generators]
+            lines += [f"    relation {r} {_dump_coeffs(c)}" for r, c in t.relations]
+            lines += [f"    morphism {m} {_dump_coeffs(c)}" for m, c in t.morphisms]
+        d = case.independence
+        if d is not None:
+            lines.append(f"  independence rank={d.expected_rank} bounds={d.bounds} {d.citation}")
+            lines += [f"    generator {g} {serialize(p)}" for g, p in d.generators]
+            lines += [f"    morphism {m} {_dump_coeffs(c)}" for m, c in d.morphisms]
+        lines += [f"  check {c.kind} {sorted(c.args.items())}" for c in case.checks]
+    return "\n".join(lines) + "\n"
+
+
+def test_catalog_matches_golden():
+    # recorded with: PYTHONPATH=src:tests python -c
+    #   "import test_catalog; print(test_catalog.dump_catalog(), end='')"
+    assert dump_catalog() == GOLDEN_CATALOG.read_text()

@@ -143,6 +143,36 @@ def test_dims_command(capsys):
     assert "nilcone dimension: 5" in out
 
 
+def test_dims_sp_nilcone_matches_the_fibre_formula(capsys):
+    code, out, _ = run_cli(["dims", "--situation", "Sp", "--params", "4,4"], capsys)
+    assert code == 0
+    assert "nilcone dimension: 11" in out
+    assert "fiber dimensions by stratum: [11, 10, 10]" in out
+
+
+def test_dims_odd_symplectic_dimension_exits_2(capsys):
+    code, out, err = run_cli(["dims", "--situation", "Sp", "--params", "3,2"], capsys)
+    assert code == 2
+    assert "even ambient dimension" in err
+    assert "nilcone" not in out
+
+
+def test_dims_parameter_below_one_exits_2(capsys):
+    code, out, err = run_cli(["dims", "--situation", "O", "--params", "0,2"], capsys)
+    assert code == 2
+    assert "at least 1" in err
+    assert "nilcone" not in out
+
+
+def test_dims_wrong_parameter_count_exits_2(capsys):
+    code, _, err = run_cli(["dims", "--situation", "GL", "--params", "2,2"], capsys)
+    assert code == 2
+    assert "takes 3 parameters" in err
+    code, _, err = run_cli(["dims", "--situation", "GL", "--params", "2,x,2"], capsys)
+    assert code == 2
+    assert "invalid literal" in err
+
+
 def test_orbit_command(capsys):
     code, out, _ = run_cli(["orbit", "--type", "gl", "--partition", "2,1"], capsys)
     assert code == 0

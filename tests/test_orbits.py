@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tests_support_orbits import all_partitions, centralizer_codim
 
+from classinv.groebner import Ideal, krull_dim
 from classinv.orbits import (
     OrbitLabel,
     Partition,
@@ -16,12 +17,14 @@ from classinv.orbits import (
     flatness_locus,
     gorenstein,
     has_symplectic_resolution,
+    max_rank,
     nilcone_dim,
     orbit_dim,
     partition,
     symplectic_reduction_orbit,
     valid_partition,
 )
+from classinv.poly import ring
 
 partitions_strategy = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True)))
@@ -209,7 +212,9 @@ class TestDims:
         assert nilcone_dim("O", (3, 2)) == 3
 
     def test_sp_nilcone(self):
-        assert nilcone_dim("Sp", (4, 4)) == 10
+        # four vectors spanning an isotropic plane: LG(2,4), of dimension 3,
+        # plus 8 coordinates; krull_dim of the sp4 nilcone ideal agrees
+        assert nilcone_dim("Sp", (4, 4)) == 11
 
     def test_symplectic_variants(self):
         assert nilcone_dim("GLsym", (2, 2)) == 5
@@ -247,3 +252,69 @@ class TestDims:
         assert flatness_locus("Sp", (4, 5)) == [2]
         assert flatness_locus("SL", (2, 3)) == [1]
         assert flat_everywhere("SL", (3, 3))
+
+    def test_max_rank(self):
+        assert max_rank("GL", (3, 2, 4)) == 2
+        assert max_rank("O", (5, 3)) == max_rank("SO", (5, 3)) == 3
+        assert max_rank("Sp", (4, 5)) == 2
+        assert [max_rank("SL", p) for p in ((3, 2), (2, 2), (2, 3))] == [0, 1, 1]
+
+    def test_flat_everywhere_is_the_whole_locus(self):
+        for sit in ("O", "SO", "Sp", "SL"):
+            for n, m in product(range(1, 9), range(1, 9)):
+                if sit == "Sp" and n % 2:
+                    continue
+                whole = list(range(max_rank(sit, (n, m)) + 1))
+                assert flat_everywhere(sit, (n, m)) == (flatness_locus(sit, (n, m)) == whole)
+
+    @pytest.mark.parametrize(
+        "situation, params",
+        [("GL", (2, 2)), ("GL", (1, 2, 3, 4)), ("O", (0, 2)), ("GLsym", (2, -1)),
+         ("Sp", (3, 2)), ("Spsym", (5, 1)), ("E8", (1, 1))],
+    )
+    def test_bad_parameters_raise(self, situation, params):
+        with pytest.raises(ValueError):
+            nilcone_dim(situation, params)
+
+
+def _nilcone_ideal(situation, params):
+    """The zero fiber of the quotient map, built here from its definition:
+    GL, the entries of b.a for a (n x n1) and b (n2 x n); O, the Gram
+    entries v_i . v_j of n' vectors in Q^n; Sp, the symplectic pairings
+    of n' vectors in Q^n under sum_c (u_c v_{c+h} - u_{c+h} v_c)."""
+    if situation == "GL":
+        n, n1, n2 = params
+        blocks = {"a": (n, n1), "b": (n2, n)}
+    else:
+        n, nprime = params
+        blocks = {"w": (n, nprime)}
+    r = ring(*[f"{k}{i}_{j}" for k, (p, q) in blocks.items() for i in range(p) for j in range(q)])
+    v = lambda k, i, j: r.var(f"{k}{i}_{j}")
+    if situation == "GL":
+        gens = [sum((v("b", i, c) * v("a", c, j) for c in range(n)), r.zero())
+                for i in range(n2) for j in range(n1)]
+    elif situation == "O":
+        gens = [sum((v("w", c, i) * v("w", c, j) for c in range(n)), r.zero())
+                for i in range(nprime) for j in range(i, nprime)]
+    else:
+        h = n // 2
+        gens = [sum((v("w", c, i) * v("w", c + h, j) - v("w", c + h, i) * v("w", c, j)
+                     for c in range(h)), r.zero())
+                for i in range(nprime) for j in range(i + 1, nprime)]
+    return Ideal(r, gens)
+
+
+_KRULL_SWEEP = (
+    [("GL", p) for p in product(range(1, 13), repeat=3) if p[0] * (p[1] + p[2]) <= 12]
+    + [("O", p) for p in product(range(1, 13), repeat=2) if p[0] * p[1] <= 12]
+    + [("Sp", (n, m)) for n in (2, 4, 6) for m in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize(
+    "situation, params", _KRULL_SWEEP, ids=[f"{s}{p}".replace(" ", "") for s, p in _KRULL_SWEEP]
+)
+def test_closed_form_nilcone_matches_krull_dim(situation, params):
+    dim = krull_dim(_nilcone_ideal(situation, params))
+    assert nilcone_dim(situation, params) == dim
+    assert fiber_dim(situation, params, 0) == dim
