@@ -62,10 +62,10 @@ def _cmd_run(args) -> int:
 def _cmd_degenerate(args) -> int:
     try:
         case = catalog.get_case(args.case)
-    except KeyError as exc:
+        weights = tuple(int(v) for v in args.weights.split(","))
+    except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    weights = tuple(int(v) for v in args.weights.split(","))
     cols = degeneration._column_letters(case.ring)
     if len(weights) != len(cols):
         print(f"need {len(cols)} weights for case {args.case}", file=sys.stderr)
@@ -121,7 +121,8 @@ def _cmd_dims(args) -> int:
     try:
         params = tuple(int(v) for v in args.params.split(","))
         print(f"situation {sit}, parameters {params}")
-        print(f"  nilcone dimension: {orbits.nilcone_dim(sit, params)}")
+        if sit not in ("SL", "SO"):  # no closed-form nilcone for SL or SO
+            print(f"  nilcone dimension: {orbits.nilcone_dim(sit, params)}")
         if sit in ("GL", "O", "Sp"):
             locus = orbits.flatness_locus(sit, params)
             print(f"  flatness locus (stratum indices): {locus}")
@@ -138,9 +139,8 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    parts = tuple(int(v) for v in args.partition.split(","))
     try:
-        p = orbits.Partition(parts)
+        p = orbits.Partition(tuple(int(v) for v in args.partition.split(",")))
         label = orbits.OrbitLabel(args.type, p.total, p, tag=args.tag)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

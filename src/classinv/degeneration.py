@@ -14,12 +14,11 @@ the limit (Sturmfels, Groebner Bases and Convex Polytopes, 1996,
 Prop. 1.8): in_w(g) keeps the leading term of g, its other terms are
 terms of g, which no leading term of G divides, and its leading
 coefficient stays 1.  The proposition needs G to be a Groebner basis
-under a term order.  The compatible order is a well-order when no
-weight is positive; with a positive weight it is one only on
-homogeneous input, where shifting every weight by the same amount
-until none is positive changes no comparison between monomials of one
-degree.  `flat_limit` gives the forms to the limit as its grevlex basis
-when one of these holds; otherwise the limit computes its own.
+under a term order, which `groebner._well_ordered` decides: the same
+test by which `Ideal.groebner_basis` answers a weighted query from the
+Groebner cone of a basis it already holds.  `flat_limit` gives the
+forms to the limit as its grevlex basis when the test holds; otherwise
+the limit computes its own.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .groebner import Ideal, _with_reduced_basis
+from .groebner import Ideal, _well_ordered, _with_reduced_basis
 from .poly import GREVLEX, MonomialOrder, Polynomial, Ring, initial_form, weighted_order
 
 
@@ -64,12 +63,12 @@ def certified_basis(ideal: Ideal, w: Sequence[int]) -> List[Polynomial]:
 def flat_limit(ideal: Ideal, w: Sequence[int]) -> Ideal:
     """The t -> 0 limit of the one-parameter family attached to w.
 
-    When no weight is positive or the ideal is homogeneous, the limit
+    When the w-compatible order is a well-order on the ideal, the limit
     carries its generators, the initial forms of the reduced
     w-compatible basis, as its reduced grevlex basis.
     """
     forms = [initial_form(g, w) for g in certified_basis(ideal, w)]
-    if max(w) <= 0 or ideal.is_homogeneous():
+    if _well_ordered(ideal, compatible_order(w)):
         return _with_reduced_basis(ideal.ring, forms, GREVLEX)
     return Ideal(ideal.ring, forms)
 

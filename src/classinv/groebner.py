@@ -43,6 +43,22 @@ an exact prefix of the run to any larger bound: the same pairs, chain
 deletions and basis indices, hence the same reduced basis as a fresh
 run to that bound.  When the heap empties the run is complete; only its
 reduced basis is kept, and Hilbert values read one series numerator.
+Below completion a bound reuses the last bound's truncated numerator
+when the minimal leading monomials of degree <= the bound are the same.
+
+An unbounded query first looks for its answer in the Groebner cones of
+the complete bases the ideal holds (Mora and Robbiano, "The Groebner
+fan of an ideal", 1988; Sturmfels, Groebner Bases and Convex Polytopes,
+1996, ch. 2).  Let G be the reduced basis under a term order <, and
+suppose every g in G has the same leading monomial under a second term
+order <'.  Then G is the reduced basis under <' too: both leading-term
+ideals contain <LT(G)>, the standard monomials of each order form a
+basis of R/I, so neither can be strictly larger; the tails keep their
+supports, so G stays reduced, and the reduced basis is unique.  The
+first kept basis that passes, sorted for <', answers the query, term
+for term what a run would give.  A weighted order counts as a term
+order on the ideal when no weight is positive or the ideal is
+homogeneous (`_well_ordered`); any other query starts a run.
 
 All reduction is integer pseudo-division in `_Engine`: `top_reduce`
 for the Buchberger loop and the certificate, `remainder` for everything
@@ -499,9 +515,15 @@ class Ideal:
     of the run to any larger bound, so every bound gets the basis a fresh
     run to that bound would give.  Once a run's pair heap empties, only
     its reduced basis is kept (`_complete`) and it answers every larger
-    bound.  `_packed` holds, per basis list in `_gb`, the engine and the
-    divisor index over that basis packed, which answer the normal forms
-    reduced against it.  Instances are otherwise immutable.
+    bound.  An unbounded query with no complete basis of its order first
+    tries the cones, `_cones`: each complete basis computed under a term
+    order on the ideal, with its leading monomials.  The first whose
+    leading monomials all stay leading under the query's term order is
+    the query's reduced basis (see the module docstring), and is kept in
+    `_complete` sorted for that order.  `_packed` holds,
+    per basis list in `_gb`, the engine and the divisor index over that
+    basis packed, which answer the normal forms reduced against it.
+    Instances are otherwise immutable.
     """
 
     def __init__(self, ring: Ring, generators: Iterable[Polynomial]):
@@ -515,8 +537,13 @@ class Ideal:
         self._gb: Dict[tuple, List[Polynomial]] = {}
         self._runs: Dict[tuple, _Run] = {}  # per order, while incomplete
         self._complete: Dict[tuple, List[Polynomial]] = {}  # per order
-        # Hilbert counts of an incomplete run, per order
-        self._std_counts: Dict[tuple, List[int]] = {}
+        # (leading monomials, basis) of each complete basis computed under
+        # a term order, oldest first: the cones a new order is tested against
+        self._cones: List[Tuple[List[Monomial], List[Polynomial]]] = []
+        # per order, while its run is incomplete: the minimal leading
+        # monomials of the last bound, their Hilbert-series numerator and
+        # the counts up to that bound
+        self._truncated: Dict[tuple, Tuple[set, List[int], List[int]]] = {}
         # Hilbert-series numerator of the complete leading-term ideal, per order
         self._numerators: Dict[tuple, List[int]] = {}
         # id(basis) -> (basis, engine, index); holding the list keeps its id unique
@@ -554,15 +581,40 @@ class Ideal:
             if usable:
                 return self._gb[(sig, min(usable))]
         basis = self._complete.get(sig)
+        if basis is None and degree_bound is None:
+            basis = self._cone_basis(order)
         if basis is None:
             run = self._runs.pop(sig, None) or _Run(self.ring, self.generators, order)
             if run.advance(degree_bound):
-                basis = self._complete[sig] = run.reduced()
+                basis = self._completed(order, run.reduced())
             else:
                 self._runs[sig] = run
                 basis = run.reduced()
         self._gb[(sig, degree_bound)] = basis
         return basis
+
+    def _completed(self, order: MonomialOrder, basis: List[Polynomial]) -> List[Polynomial]:
+        """Keep `basis` as the complete reduced basis under `order`, and as
+        a cone when `order` is a term order on the ideal."""
+        self._complete[_order_sig(order)] = basis
+        if _well_ordered(self, order):
+            self._cones.append(([g.leading_monomial(order) for g in basis], basis))
+        return basis
+
+    def _cone_basis(self, order: MonomialOrder) -> Optional[List[Polynomial]]:
+        """The first kept cone basis whose leading monomials all stay
+        leading under `order`, a term order here, sorted as `_Run.reduced`
+        sorts; None when there is none."""
+        if not _well_ordered(self, order):
+            return None
+        key, sig = order.key, _order_sig(order)
+        for leads, basis in self._cones:
+            if all(max(g.terms, key=key) == m for m, g in zip(leads, basis)):
+                self._runs.pop(sig, None)  # a bounded run of this order is moot
+                pairs = sorted(zip(leads, basis), key=lambda mg: key(mg[0]))
+                self._complete[sig] = [g for _, g in pairs]
+                return self._complete[sig]
+        return None
 
     def _basis_for(self, order: MonomialOrder, p: Polynomial) -> List[Polynomial]:
         if self.is_homogeneous() and p.is_homogeneous() and not p.is_zero():
@@ -600,10 +652,19 @@ def _with_reduced_basis(ring: Ring, basis: Sequence[Polynomial], order: Monomial
     reduced Groebner basis under `order`; it answers every query of that
     order without a Buchberger run."""
     ideal = Ideal(ring, basis)
-    ideal._complete[_order_sig(order)] = sorted(
-        ideal.generators, key=lambda p: order.key(p.leading_monomial(order))
+    ideal._completed(
+        order, sorted(ideal.generators, key=lambda p: order.key(p.leading_monomial(order)))
     )
     return ideal
+
+
+def _well_ordered(ideal: Ideal, order: MonomialOrder) -> bool:
+    """Whether `order` is a well-order on the ideal, so that its Groebner
+    bases are those of a term order.  Lex and grevlex are; a weighted
+    order is when no weight is positive, and with a positive weight only
+    on homogeneous input, where shifting every weight by the same amount
+    until none is positive changes no comparison within one degree."""
+    return order.kind != "weighted" or max(order.weights) <= 0 or ideal.is_homogeneous()
 
 
 def groebner_basis(
@@ -739,23 +800,15 @@ def _hilbert_numerator(gens: List[Monomial]) -> List[int]:
     return num
 
 
-def _count_standard(
-    lead: Sequence[Monomial], arity: int, pmax: int
-) -> List[int]:
-    """Counts of degree-p monomials outside the monomial ideal, p = 0..pmax.
+def _counts_from_numerator(num: List[int], arity: int, pmax: int) -> List[int]:
+    """Coefficients of t^0..t^pmax in N(t)/(1-t)^arity.
 
-    Read off the Hilbert series N(t)/(1-t)^n of the ideal generated by
-    the leading monomials of degree <= pmax (higher ones do not reach
-    degree pmax): each of the n divisions by (1-t) is a prefix sum, so
-    H(p) = sum_{j<=p} N_j C(p-j+n-1, n-1).  The cost follows the minimal
+    Each of the divisions by (1-t) is a prefix sum, so the count in
+    degree p is sum_{j<=p} N_j C(p-j+n-1, n-1) with n = arity.  Counts up
+    to pmax need only the minimal leading monomials of degree <= pmax:
+    higher ones do not reach degree pmax.  The cost follows the minimal
     generators, not the number of standard monomials.
     """
-    gens = _minimal_monomials(m for m in lead if sum(m) <= pmax)
-    return _counts_from_numerator(_hilbert_numerator(gens), arity, pmax)
-
-
-def _counts_from_numerator(num: List[int], arity: int, pmax: int) -> List[int]:
-    """Coefficients of t^0..t^pmax in N(t)/(1-t)^arity."""
     counts = (num + [0] * (pmax + 1))[: pmax + 1]
     for _ in range(arity):
         counts = list(accumulate(counts))
@@ -766,24 +819,30 @@ def hilbert_function(ideal: Ideal, p: int, order: MonomialOrder = GREVLEX) -> in
     """Dimension of the degree-p part of ring/ideal (ideal homogeneous).
 
     While the order's run is incomplete, the counts come from the basis
-    truncated at p; once it is complete, from the one Hilbert-series
-    numerator of the whole leading-term ideal.
+    truncated at p, whose minimal leading monomials of degree <= p give a
+    numerator; a larger bound with the same minimal monomials extends the
+    counts from the kept numerator.  Once the run is complete, the counts
+    come from the one Hilbert-series numerator of the whole leading-term
+    ideal.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
     if not ideal.is_homogeneous():
         raise ValueError("hilbert_function requires homogeneous generators")
-    sig = _order_sig(order)
+    sig, arity = _order_sig(order), ideal.ring.arity
     if sig not in ideal._complete:
-        cached = ideal._std_counts.get(sig)
-        if cached is not None and len(cached) > p:
-            return cached[p]
+        kept = ideal._truncated.get(sig)
+        if kept is not None and len(kept[2]) > p:
+            return kept[2][p]
         basis = ideal.groebner_basis(order, degree_bound=p)
         if sig not in ideal._complete:
-            lead = [g.leading_monomial(order) for g in basis]
-            cached = ideal._std_counts[sig] = _count_standard(lead, ideal.ring.arity, p)
-            return cached[p]
-    return _counts_from_numerator(_numerator(ideal, order), ideal.ring.arity, p)[p]
+            lead = (g.leading_monomial(order) for g in basis)
+            gens = set(_minimal_monomials(m for m in lead if sum(m) <= p))
+            num = kept[1] if kept is not None and kept[0] == gens else _hilbert_numerator(list(gens))
+            counts = _counts_from_numerator(num, arity, p)
+            ideal._truncated[sig] = (gens, num, counts)
+            return counts[p]
+    return _counts_from_numerator(_numerator(ideal, order), arity, p)[p]
 
 
 def _numerator(ideal: Ideal, order: MonomialOrder) -> List[int]:

@@ -173,6 +173,35 @@ def test_dims_wrong_parameter_count_exits_2(capsys):
     assert "invalid literal" in err
 
 
+@pytest.mark.parametrize("situation, params", [("SL", "2,3"), ("SO", "3,2")])
+def test_dims_sl_so_print_gorenstein_without_a_nilcone_line(situation, params, capsys):
+    # no closed-form nilcone dimension exists for SL or SO
+    code, out, err = run_cli(["dims", "--situation", situation, "--params", params], capsys)
+    assert code == 0 and not err
+    assert out.splitlines() == [
+        f"situation {situation}, parameters ({params.replace(',', ', ')})",
+        "  gorenstein: True",
+    ]
+
+
+def test_dims_sl_wrong_parameter_count_exits_2(capsys):
+    code, _, err = run_cli(["dims", "--situation", "SL", "--params", "2"], capsys)
+    assert code == 2
+    assert "takes 2 parameters" in err
+
+
+def test_degenerate_non_integer_weight_exits_2(capsys):
+    code, out, err = run_cli(["degenerate", "--case", "so3-I1", "--weights=a,1,1"], capsys)
+    assert code == 2
+    assert "invalid literal" in err and not out
+
+
+def test_orbit_non_integer_part_exits_2(capsys):
+    code, out, err = run_cli(["orbit", "--type", "gl", "--partition", "a"], capsys)
+    assert code == 2
+    assert "invalid literal" in err and not out
+
+
 def test_orbit_command(capsys):
     code, out, _ = run_cli(["orbit", "--type", "gl", "--partition", "2,1"], capsys)
     assert code == 0

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import hashlib
+
 from classinv import cli
 from classinv.catalog import SO3_PRINTED_BASIS, case_names, get_case
 from classinv.degeneration import (
+    certified_basis,
     compatible_order,
     expand_column_weights,
     family_member,
@@ -24,7 +27,8 @@ from classinv.groebner import (
 )
 from classinv.poly import GREVLEX, parse_poly, ring, serialize
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 FAMILIES = ("o3-I2", "so3-I1", "so3-I2")
 
 
@@ -255,3 +259,90 @@ def test_degenerate_command_matches_golden(capsys):
         weights = ",".join(map(str, run["weights"]))
         code = cli.main(["degenerate", "--case", run["case"], f"--weights={weights}"])
         assert (code, capsys.readouterr().out) == (run["exit"], run["stdout"]), run["weights"]
+
+
+def count_runs(monkeypatch):
+    """A list that gets the order of every Buchberger run started."""
+    import classinv.groebner as gb
+
+    runs = []
+    real = gb._Run
+    monkeypatch.setattr(gb, "_Run", lambda *a: runs.append(a[2]) or real(*a))
+    return runs
+
+
+def _weights(case, column_weights):
+    return expand_column_weights(case.ring, column_weights, ["x", "y", "z"])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_warm_fibre_ideal_serves_the_cold_basis(family, monkeypatch):
+    # earlier vectors leave their bases on the warm ideal; a vector served
+    # from one of their cones must get the basis, in the list order, that
+    # a fresh ideal's run gives
+    case = get_case(family)
+    L = case.ideal("L")
+    warm = Ideal(case.ring, L.generators)
+    runs = count_runs(monkeypatch)
+    hits = 0
+    for f, cw in _negative_vectors(803, 12):
+        if f != family:
+            continue
+        order = compatible_order(_weights(case, cw))
+        before = len(runs)
+        served = _text(warm.groebner_basis(order))
+        hits += len(runs) == before
+        assert served == _text(Ideal(case.ring, L.generators).groebner_basis(order)), cw
+    assert hits > 0
+
+
+def _reference_digest(basis):
+    text = "\n".join(_text(basis))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_cone_hits_reproduce_recorded_limits(monkeypatch):
+    # read-only: limits and verdicts recorded for every negative vector
+    # before the lookup existed; 8 of the 12 vectors per family are hits
+    reference = json.loads((ROOT / "perfbench" / "reference" / "degenerate.json").read_text())
+    runs = count_runs(monkeypatch)
+    sources = {f: Ideal(get_case(f).ring, get_case(f).ideal("L").generators) for f in FAMILIES}
+    checked = 0
+    for family, cw in _negative_vectors(7, 12):
+        case = get_case(family)
+        limit = flat_limit(sources[family], _weights(case, cw))
+        equal = {
+            name: ideal_equal(limit, ideal)
+            for name, ideal in case.ideals.items()
+            if name.startswith("I") and ideal.is_homogeneous()
+        }
+        entry = reference[f"{family} {','.join(map(str, cw))}"]
+        assert entry == {"basis": _reference_digest(limit.groebner_basis()), "equal": equal}, cw
+        checked += 1
+    weighted = [o for o in runs if o.kind == "weighted"]
+    assert checked == 36 and len(weighted) == 12, len(weighted)
+
+
+def test_sweep_run_count_pinned(monkeypatch):
+    # the 120 vectors of the seed-7 sweep fall into 6 Groebner cones per
+    # fibre ideal: 18 runs, where each vector used to start its own
+    runs = count_runs(monkeypatch)
+    sources = {f: Ideal(get_case(f).ring, get_case(f).ideal("L").generators) for f in FAMILIES}
+    for family, cw in _negative_vectors(7, 40):
+        certified_basis(sources[family], _weights(get_case(family), cw))
+    assert len(runs) == 18
+
+
+def test_positive_weight_on_inhomogeneous_input_is_never_served_from_a_cone(monkeypatch):
+    # the leading monomials agree in both directions here, but an order
+    # with a positive weight is no well-order on this ideal: its basis is
+    # no cone, and no cone answers it
+    r = ring("x", "y", "z")
+    gens = [parse_poly(g, r) for g in ("x^2 + y*z - 1", "x*y - z^2")]
+    runs = count_runs(monkeypatch)
+    for vectors in (([1, -1, -1], [0, -1, -2]), ([0, -1, -2], [1, -1, -1])):
+        source = Ideal(r, gens)
+        for w in vectors:
+            certified_basis(source, w)
+        assert len(source._cones) == 1
+    assert len(runs) == 4

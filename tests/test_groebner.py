@@ -8,7 +8,9 @@ import pytest
 from classinv.catalog import case_names, get_case
 from classinv.groebner import (
     Ideal,
-    _count_standard,
+    _counts_from_numerator,
+    _hilbert_numerator,
+    _minimal_monomials,
     affine_hilbert_function,
     certify_gb,
     groebner_basis,
@@ -28,6 +30,14 @@ def P(text, r):
 
 def make_ideal(r, *texts):
     return Ideal(r, [parse_poly(t, r) for t in texts])
+
+
+def _count_standard(lead, arity, pmax):
+    """Counts of degree-p monomials outside the ideal of `lead`, p = 0..pmax,
+    through the library's numerator: minimal monomials of degree <= pmax,
+    their Hilbert-series numerator, and its prefix sums."""
+    gens = _minimal_monomials(m for m in lead if sum(m) <= pmax)
+    return _counts_from_numerator(_hilbert_numerator(gens), arity, pmax)
 
 
 class TestBasis:
@@ -510,3 +520,51 @@ def test_weighted_run_counts_pinned(monkeypatch, family, column_weights, spolys,
     w = expand_column_weights(case.ring, column_weights, ["x", "y", "z"])
     fresh(case.ideal("L")).groebner_basis(compatible_order(w))
     assert (len(made), len(added)) == (spolys, elements)
+
+
+def test_hilbert_sweep_numerator_count_pinned(monkeypatch):
+    # below completion a bound whose minimal leading monomials equal the
+    # last bound's reuses its numerator: p = 1 for all five ideals (no
+    # leading monomial of degree <= 1), and p = 5 for gl3 I, o3-I2 J and I2
+    # (whose bases stop growing at degree 4 but complete at p = 6).
+    # Recomputing every truncated numerator gave [5, 5, 5, 5, 5, 3, 3, 0, 0, 0].
+    import classinv.groebner as gb
+
+    calls = count_calls(monkeypatch, gb, "_hilbert_numerator")
+    sources = [get_case(n).ideal("I") for n in ("gl2", "gl3", "sp4")]
+    sources += [get_case("o3-I2").ideal(n) for n in ("J", "I2")]
+    per_bound = [0] * 10
+    for source in sources:
+        ideal = fresh(source)
+        for p in range(10):
+            before = len(calls)
+            hilbert_function(ideal, p)
+            per_bound[p] += len(calls) - before
+    assert per_bound == [5, 0, 5, 5, 5, 0, 3, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "w, hit",
+    [
+        ([-1, -1, -1], True),  # the weight is minus the degree: grevlex itself
+        ([-1, -2, -4], True),
+        ([-3, -1, -1], False),
+        ([0, -1, -1], False),
+        ([-5, -1, -2], False),
+    ],
+)
+def test_grevlex_after_a_weighted_basis_hits_only_when_leading_terms_agree(w, hit, monkeypatch):
+    # the weighted basis answers a later grevlex query exactly when each
+    # of its elements has the same leading monomial under grevlex
+    import classinv.groebner as gb
+
+    runs = count_calls(monkeypatch, gb, "_Run")
+    r = ring("x", "y", "z")
+    I = make_ideal(r, "x^2 - y", "y*z^2 - x + 1", "z^3 - x*y")
+    order = weighted_order(w)
+    weighted = I.groebner_basis(order)
+    agree = all(g.leading_monomial(order) == g.leading_monomial(GREVLEX) for g in weighted)
+    served = [serialize(g) for g in I.groebner_basis(GREVLEX)]
+    assert agree is hit
+    assert len(runs) == (1 if hit else 2)
+    assert served == [serialize(g) for g in fresh(I).groebner_basis(GREVLEX)]
