@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -5,8 +6,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-
-import hashlib
 
 from classinv import cli
 from classinv.catalog import SO3_PRINTED_BASIS, case_names, get_case
@@ -303,11 +302,10 @@ def _reference_digest(basis):
 
 def test_cone_hits_reproduce_recorded_limits(monkeypatch):
     # read-only: limits and verdicts recorded for every negative vector
-    # before the lookup existed; 8 of the 12 vectors per family are hits
+    # before the lookup existed; 24 of these 36 vectors are cone hits
     reference = json.loads((ROOT / "perfbench" / "reference" / "degenerate.json").read_text())
     runs = count_runs(monkeypatch)
     sources = {f: Ideal(get_case(f).ring, get_case(f).ideal("L").generators) for f in FAMILIES}
-    checked = 0
     for family, cw in _negative_vectors(7, 12):
         case = get_case(family)
         limit = flat_limit(sources[family], _weights(case, cw))
@@ -318,14 +316,12 @@ def test_cone_hits_reproduce_recorded_limits(monkeypatch):
         }
         entry = reference[f"{family} {','.join(map(str, cw))}"]
         assert entry == {"basis": _reference_digest(limit.groebner_basis()), "equal": equal}, cw
-        checked += 1
-    weighted = [o for o in runs if o.kind == "weighted"]
-    assert checked == 36 and len(weighted) == 12, len(weighted)
+    assert sum(o.kind == "weighted" for o in runs) == 12
 
 
 def test_sweep_run_count_pinned(monkeypatch):
     # the 120 vectors of the seed-7 sweep fall into 6 Groebner cones per
-    # fibre ideal: 18 runs, where each vector used to start its own
+    # fibre ideal, so 18 of them start a run
     runs = count_runs(monkeypatch)
     sources = {f: Ideal(get_case(f).ring, get_case(f).ideal("L").generators) for f in FAMILIES}
     for family, cw in _negative_vectors(7, 40):
