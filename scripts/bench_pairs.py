@@ -17,8 +17,10 @@ The output holds, per workload and end-to-end metric of BENCHMARK.json,
 the per-run samples of each side with their median and quartiles, the
 relative change of the medians, and the number of pairs in which the
 change was better; and the seeds, both commits (with a digest of
-uncommitted edits) and the machine.  A run whose correctness gate fails
-is recorded as such; the script then exits 1.
+uncommitted edits) and the machine.  A run whose correctness gate fails,
+or whose last stdout line is not a JSON result, is recorded as such
+with the tail of its stderr; the other runs go on, and the script then
+exits 1.
 """
 
 from __future__ import annotations
@@ -64,9 +66,13 @@ def run_once(path: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=path, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
-    if not lines:
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):  # a crash: no JSON result line
         return {"correct": False, "error": proc.stderr.strip()[-500:]}
-    return json.loads(lines[-1])
+    return result
 
 
 def summary(values: list) -> dict:

@@ -64,7 +64,7 @@ def _cmd_degenerate(args) -> int:
         case = catalog.get_case(args.case)
         weights = tuple(int(v) for v in args.weights.split(","))
     except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return 2
     cols = degeneration._column_letters(case.ring)
     if len(weights) != len(cols):
@@ -94,7 +94,7 @@ def _cmd_tangent(args) -> int:
     try:
         report = tangent.tangent_report(args.case)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return 2
     print(f"case {report.case}")
     if report.generates is not None:

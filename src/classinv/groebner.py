@@ -41,10 +41,17 @@ a larger bound resumes instead of restarting.  On homogeneous input
 pairs leave the heap in order of lcm degree, so the run stopped at d is
 an exact prefix of the run to any larger bound: the same pairs, chain
 deletions and basis indices, hence the same reduced basis as a fresh
-run to that bound.  When the heap empties the run is complete; only its
-reduced basis is kept, and Hilbert values read one series numerator.
-Below completion a bound reuses the last bound's truncated numerator
-when the minimal leading monomials of degree <= the bound are the same.
+run to that bound.  When the heap empties the run is complete.
+
+A count (`affine_hilbert_function`, `krull_dim`, `hilbert_function`
+once complete) reads one Hilbert-series numerator, which depends only
+on the minimal leading monomials.  They come packed from a complete
+basis, a cone, or the run advanced to completion and kept unreduced
+until a basis query reduces it as it would have.  Each set of minimal
+monomials gets its numerator once per process.  Below completion a
+bound reuses the last bound's truncated numerator when the minimal
+leading monomials of degree <= the bound are the same.  Lex and grevlex
+runs of one ring share an engine and its key and degree memos.
 
 An unbounded query first looks for its answer in the Groebner cones of
 the complete bases the ideal holds (Mora and Robbiano, "The Groebner
@@ -83,6 +90,7 @@ front, and runs take the same steps as without it.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -96,7 +104,6 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     Ring,
-    monomial_divides,
     weighted_order,
 )
 
@@ -387,6 +394,20 @@ class _Engine:
         return out
 
 
+_ENGINES = weakref.WeakValueDictionary()  # (ring, order kind) -> engine in use
+
+
+def _engine(ring: Ring, order: MonomialOrder) -> _Engine:
+    """The engine of `ring` and `order`: for lex and grevlex one per ring
+    while a run or an ideal holds it, so its runs and normal forms share
+    its key and degree memos, which go with its last holder.  A weighted
+    order, which a weight sweep rarely repeats, gets a new one."""
+    if order.kind == "weighted":
+        return _Engine(ring, order)
+    sig = (ring, order.kind)
+    return _ENGINES.get(sig) or _ENGINES.setdefault(sig, _Engine(ring, order))
+
+
 class _Run:
     """A Buchberger run that stops at a degree bound and resumes from there.
 
@@ -400,7 +421,7 @@ class _Run:
 
     def __init__(self, ring: Ring, gens: Sequence[Polynomial], order: MonomialOrder):
         self.order = order
-        eng = self.eng = _Engine(ring, order)
+        eng = self.eng = _engine(ring, order)
         self.index = _Divisors(eng.guard)
         self.basis = self.index.entries  # grows through `add_element` only
         self.sugars: List[int] = []  # per basis element
@@ -520,7 +541,9 @@ class Ideal:
     order on the ideal, with its leading monomials.  The first whose
     leading monomials all stay leading under the query's term order is
     the query's reduced basis (see the module docstring), and is kept in
-    `_complete` sorted for that order.  `_packed` holds,
+    `_complete` sorted for that order.  A count reads the numerator
+    `_numerators` keeps per order; it makes no basis query, and a run it
+    completes stays in `_runs`, unreduced, until one.  `_packed` holds,
     per basis list in `_gb`, the engine and the divisor index over that
     basis packed, which answer the normal forms reduced against it.
     Instances are otherwise immutable.
@@ -535,7 +558,7 @@ class Ideal:
         self.generators = gens
         self._homogeneous: Optional[bool] = None
         self._gb: Dict[tuple, List[Polynomial]] = {}
-        self._runs: Dict[tuple, _Run] = {}  # per order, while incomplete
+        self._runs: Dict[tuple, _Run] = {}  # per order, until its basis is reduced
         self._complete: Dict[tuple, List[Polynomial]] = {}  # per order
         # (leading monomials, basis) of each complete basis computed under
         # a term order, oldest first: the cones a new order is tested against
@@ -616,6 +639,22 @@ class Ideal:
                 return self._complete[sig]
         return None
 
+    def _leads(self, order: MonomialOrder) -> List[int]:
+        """The minimal leading monomials, packed, of the ideal under
+        `order`: those of a complete basis it holds or finds in a cone,
+        else of its run advanced to completion, which stays in `_runs`
+        unreduced until a basis query asks for the basis."""
+        sig = _order_sig(order)
+        basis = self._complete.get(sig)
+        if basis is None:
+            basis = self._cone_basis(order)
+        if basis is not None:
+            return [_pack(g.leading_monomial(order)) for g in basis]
+        run = self._runs.pop(sig, None) or _Run(self.ring, self.generators, order)
+        run.advance(None)
+        self._runs[sig] = run
+        return run.eng.minimal(run.index.lts)
+
     def _basis_for(self, order: MonomialOrder, p: Polynomial) -> List[Polynomial]:
         if self.is_homogeneous() and p.is_homogeneous() and not p.is_zero():
             return self.groebner_basis(order, degree_bound=p.degree())
@@ -637,7 +676,7 @@ class Ideal:
         basis = self._basis_for(order, p)
         packed = self._packed.get(id(basis))
         if packed is None:
-            eng = _Engine(self.ring, order)
+            eng = _engine(self.ring, order)
             packed = self._packed[id(basis)] = (
                 basis, eng, _Divisors(eng.guard, map(eng.entry, basis))
             )
@@ -734,28 +773,14 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
 # ---- standard monomial counting -----------------------------------------
 
 
-def _minimal_monomials(monomials: Iterable[Monomial]) -> List[Monomial]:
-    """The minimal monomials under divisibility, in ascending degree.
-
-    A proper divisor has lower degree, and the set merges equal ones, so
-    each monomial is tested only against kept ones of lower degree.
-    """
-    lower: List[Monomial] = []  # kept, below the current degree
-    level: List[Monomial] = []  # kept, of the current degree
-    current = -1
-    for m in sorted(set(monomials), key=sum):
-        if sum(m) != current:
-            current = sum(m)
-            lower += level
-            level = []
-        if not any(monomial_divides(g, m) for g in lower):
-            level.append(m)
-    return lower + level
+_NUMERATORS: Dict[frozenset, List[int]] = {}  # minimal generators -> N(t)
 
 
-def _hilbert_numerator(gens: List[Monomial]) -> List[int]:
+def _hilbert_numerator(gens: List[int]) -> List[int]:
     """Coefficients of N(t), where k[x]/(gens) has Hilbert series
-    N(t)/(1-t)^n.  `gens` must be a minimal generating set.
+    N(t)/(1-t)^n.  `gens` must be a minimal generating set, packed; N does
+    not depend on n.  Each set is computed once per process, and every
+    call returns a list of its own.
 
     Pivot recursion (Bayer-Stillman 1992, Bigatti 1997) on an explicit
     stack: N(M) = N(M + (x_v^e)) + t^e N(M : x_v^e), where v occurs most
@@ -765,39 +790,48 @@ def _hilbert_numerator(gens: List[Monomial]) -> List[int]:
     the quotient lowers a degree.  Pairwise coprime generators end the
     recursion with N = prod(1 - t^deg g).
     """
-    num: List[int] = []
-    stack = [(gens, 0)]
-    while stack:
-        gens, shift = stack.pop()
-        supports = [[v for v, e in enumerate(g) if e] for g in gens]
-        occurs = Counter(v for s in supports for v in s)
-        if all(c == 1 for c in occurs.values()):
-            term = [1]
-            for g in gens:
-                d = sum(g)
-                term = term + [0] * d
-                for i in range(len(term) - d - 1, -1, -1):
-                    term[i + d] -= term[i]
-            num += [0] * (shift + len(term) - len(num))
-            for i, c in enumerate(term):
-                num[shift + i] += c
-            continue
-        mixed = Counter(v for s in supports if len(s) > 1 for v in s)
-        v = max(mixed, key=mixed.__getitem__)
-        e = min(g[v] for g, s in zip(gens, supports) if len(s) > 1 and g[v])
-        power = tuple(e if i == v else 0 for i in range(len(gens[0])))
-        stack.append(([g for g in gens if g[v] < e] + [power], shift))
-        # In the quotient only a generator that lost some x_v can divide
-        # another: a g with g[v] = 0 that divides h' also divides h.
-        quotient = [g[:v] + (max(g[v] - e, 0),) + g[v + 1 :] for g in gens]
-        lowered = [q for g, q in zip(gens, quotient) if g[v]]
-        minimal = [
-            h
-            for h in quotient
-            if not any(d != h and monomial_divides(d, h) for d in lowered)
-        ]
-        stack.append((minimal, shift + e))
-    return num
+    key = frozenset(gens)
+    if key not in _NUMERATORS:
+        width = max(gens, default=0).bit_length() // _SHIFT + 1  # fields in use
+        guard = _guard_mask(width)
+        num: List[int] = []
+        stack = [(gens, 0)]
+        while stack:
+            gens, shift = stack.pop()
+            fields = [g.to_bytes(width, "little") for g in gens]
+            supports = [[v for v, e in enumerate(f) if e] for f in fields]
+            occurs = Counter(v for s in supports for v in s)
+            if all(c == 1 for c in occurs.values()):
+                term = [1]
+                for f in fields:
+                    d = sum(f)
+                    term = term + [0] * d
+                    for i in range(len(term) - d - 1, -1, -1):
+                        term[i + d] -= term[i]
+                num += [0] * (shift + len(term) - len(num))
+                for i, c in enumerate(term):
+                    num[shift + i] += c
+                continue
+            mixed = Counter(v for s in supports if len(s) > 1 for v in s)
+            v = max(mixed, key=mixed.__getitem__)
+            e = min(f[v] for f, s in zip(fields, supports) if len(s) > 1 and f[v])
+            sv = v * _SHIFT
+            stack.append(([g for g, f in zip(gens, fields) if f[v] < e] + [e << sv], shift))
+            # In the quotient only a generator that lost some x_v can divide
+            # another: a g with g[v] = 0 that divides h' also divides h.
+            quotient = [g - (min(f[v], e) << sv) for g, f in zip(gens, fields)]
+            lowered = [q for q, f in zip(quotient, fields) if f[v]]
+            minimal = []
+            for h in quotient:
+                hg = h | guard
+                for d in lowered:
+                    if (hg - d) & guard == guard and d != h:
+                        break
+                else:
+                    minimal.append(h)
+            stack.append((minimal, shift + e))
+        _NUMERATORS[key] = num
+    return list(_NUMERATORS[key])
 
 
 def _counts_from_numerator(num: List[int], arity: int, pmax: int) -> List[int]:
@@ -830,14 +864,15 @@ def hilbert_function(ideal: Ideal, p: int, order: MonomialOrder = GREVLEX) -> in
     if not ideal.is_homogeneous():
         raise ValueError("hilbert_function requires homogeneous generators")
     sig, arity = _order_sig(order), ideal.ring.arity
-    if sig not in ideal._complete:
+    if sig not in ideal._complete and sig not in ideal._numerators:
         kept = ideal._truncated.get(sig)
         if kept is not None and len(kept[2]) > p:
             return kept[2][p]
         basis = ideal.groebner_basis(order, degree_bound=p)
         if sig not in ideal._complete:
-            lead = (g.leading_monomial(order) for g in basis)
-            gens = set(_minimal_monomials(m for m in lead if sum(m) <= p))
+            eng = _engine(ideal.ring, order)
+            lead = (_pack(g.leading_monomial(order)) for g in basis)
+            gens = set(eng.minimal(m for m in lead if eng.degree(m) <= p))
             num = kept[1] if kept is not None and kept[0] == gens else _hilbert_numerator(list(gens))
             counts = _counts_from_numerator(num, arity, p)
             ideal._truncated[sig] = (gens, num, counts)
@@ -847,18 +882,13 @@ def hilbert_function(ideal: Ideal, p: int, order: MonomialOrder = GREVLEX) -> in
 
 def _numerator(ideal: Ideal, order: MonomialOrder) -> List[int]:
     """N(t) of the whole leading-term ideal under `order`, computed once per
-    ideal and order.  A run that bounded queries completed supplies its
-    basis without an unbounded query, which would make the basis cache
-    answer smaller bounds with the complete basis."""
+    ideal and order from `Ideal._leads`.  It makes no basis query: an
+    unbounded one would make the basis cache answer smaller bounds with
+    the complete basis, and a count needs no reduced basis."""
     sig = _order_sig(order)
     num = ideal._numerators.get(sig)
     if num is None:
-        basis = ideal._complete.get(sig)
-        if basis is None:
-            basis = ideal.groebner_basis(order)
-        num = ideal._numerators[sig] = _hilbert_numerator(
-            _minimal_monomials(g.leading_monomial(order) for g in basis)
-        )
+        num = ideal._numerators[sig] = _hilbert_numerator(ideal._leads(order))
     return num
 
 
@@ -884,9 +914,9 @@ def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
     n = ideal.ring.arity
     if ideal.is_zero():
         return n
-    if any(p.degree() == 0 for p in ideal.groebner_basis(order)):
-        raise ValueError("unit ideal has no Krull dimension")
     num = _numerator(ideal, order)
+    if not any(num):  # the leading monomial 1: a zero Hilbert series
+        raise ValueError("unit ideal has no Krull dimension")
     m = 0
     while sum(num) == 0:
         num = list(accumulate(num))[:-1]
@@ -900,7 +930,7 @@ def certify_gb(basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> b
     polys = [p for p in basis if not p.is_zero()]
     if not polys:
         raise ValueError("empty basis")
-    eng = _Engine(polys[0].ring, order)
+    eng = _engine(polys[0].ring, order)
     index = _Divisors(eng.guard, map(eng.entry, polys))
     entries = index.entries
     for i in range(len(entries)):

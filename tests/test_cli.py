@@ -196,6 +196,16 @@ def test_degenerate_non_integer_weight_exits_2(capsys):
     assert "invalid literal" in err and not out
 
 
+@pytest.mark.parametrize(
+    "args", [["tangent", "--case", "nope"], ["degenerate", "--case", "nope", "--weights=-1,-1,-1"]]
+)
+def test_unknown_case_message_is_printed_plain(args, capsys):
+    # the KeyError's message, not its repr wrapped in double quotes
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"unknown case 'nope'; known: {', '.join(case_names())}\n"
+
+
 def test_orbit_non_integer_part_exits_2(capsys):
     code, out, err = run_cli(["orbit", "--type", "gl", "--partition", "a"], capsys)
     assert code == 2

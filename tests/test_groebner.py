@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -9,8 +10,10 @@ from classinv.catalog import case_names, get_case
 from classinv.groebner import (
     Ideal,
     _counts_from_numerator,
+    _Engine,
     _hilbert_numerator,
-    _minimal_monomials,
+    _pack,
+    _unpack,
     affine_hilbert_function,
     certify_gb,
     groebner_basis,
@@ -21,7 +24,15 @@ from classinv.groebner import (
     krull_dim,
     normal_form,
 )
-from classinv.poly import GREVLEX, LEX, parse_poly, ring, serialize, weighted_order
+from classinv.poly import (
+    GREVLEX,
+    LEX,
+    monomial_divides,
+    parse_poly,
+    ring,
+    serialize,
+    weighted_order,
+)
 
 
 def P(text, r):
@@ -32,12 +43,64 @@ def make_ideal(r, *texts):
     return Ideal(r, [parse_poly(t, r) for t in texts])
 
 
+def oracle_minimal(monomials):
+    """The minimal monomials under divisibility, in ascending degree: each
+    is tested against the kept ones of lower degree, the only ones that
+    can divide it properly."""
+    lower, level, current = [], [], -1
+    for m in sorted(set(monomials), key=sum):
+        if sum(m) != current:
+            current = sum(m)
+            lower += level
+            level = []
+        if not any(monomial_divides(g, m) for g in lower):
+            level.append(m)
+    return lower + level
+
+
+def oracle_numerator(gens):
+    """The pivot recursion of `_hilbert_numerator` on exponent tuples, with
+    the same pivot rule and stack order, so its coefficient lists are the
+    packed kernel's, trailing zeros included.  Exponents are unbounded."""
+    num = []
+    stack = [(gens, 0)]
+    while stack:
+        gens, shift = stack.pop()
+        supports = [[v for v, e in enumerate(g) if e] for g in gens]
+        occurs = Counter(v for s in supports for v in s)
+        if all(c == 1 for c in occurs.values()):
+            term = [1]
+            for g in gens:
+                d = sum(g)
+                term = term + [0] * d
+                for i in range(len(term) - d - 1, -1, -1):
+                    term[i + d] -= term[i]
+            num += [0] * (shift + len(term) - len(num))
+            for i, c in enumerate(term):
+                num[shift + i] += c
+            continue
+        mixed = Counter(v for s in supports if len(s) > 1 for v in s)
+        v = max(mixed, key=mixed.__getitem__)
+        e = min(g[v] for g, s in zip(gens, supports) if len(s) > 1 and g[v])
+        power = tuple(e if i == v else 0 for i in range(len(gens[0])))
+        stack.append(([g for g in gens if g[v] < e] + [power], shift))
+        quotient = [g[:v] + (max(g[v] - e, 0),) + g[v + 1 :] for g in gens]
+        lowered = [q for g, q in zip(gens, quotient) if g[v]]
+        minimal = [
+            h
+            for h in quotient
+            if not any(d != h and monomial_divides(d, h) for d in lowered)
+        ]
+        stack.append((minimal, shift + e))
+    return num
+
+
 def _count_standard(lead, arity, pmax):
     """Counts of degree-p monomials outside the ideal of `lead`, p = 0..pmax,
-    through the library's numerator: minimal monomials of degree <= pmax,
-    their Hilbert-series numerator, and its prefix sums."""
-    gens = _minimal_monomials(m for m in lead if sum(m) <= pmax)
-    return _counts_from_numerator(_hilbert_numerator(gens), arity, pmax)
+    through the oracle numerator: minimal monomials of degree <= pmax,
+    their Hilbert-series numerator, and the library's prefix sums."""
+    gens = oracle_minimal(m for m in lead if sum(m) <= pmax)
+    return _counts_from_numerator(oracle_numerator(gens), arity, pmax)
 
 
 class TestBasis:
@@ -568,3 +631,123 @@ def test_grevlex_after_a_weighted_basis_hits_only_when_leading_terms_agree(w, hi
     assert agree is hit
     assert len(runs) == (1 if hit else 2)
     assert served == [serialize(g) for g in fresh(I).groebner_basis(GREVLEX)]
+
+
+def packed_minimal(monomials, arity):
+    """The minimal monomials, packed, as the library's engine orders them."""
+    eng = _Engine(ring(*[f"x{i}" for i in range(arity)]), GREVLEX)
+    return eng.minimal(map(_pack, monomials))
+
+
+class TestPackedNumerator:
+    """`_hilbert_numerator` on packed monomials against `oracle_numerator`
+    on the same generators in the same order: identical lists.  Each test
+    starts with an empty numerator memo, so the kernel itself runs."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        import classinv.groebner as gb
+
+        monkeypatch.setattr(gb, "_NUMERATORS", {})
+
+    def assert_matches_oracle(self, gens, arity):
+        want = oracle_numerator([_unpack(p, arity) for p in gens])
+        assert _hilbert_numerator(gens) == want
+
+    @pytest.mark.parametrize("seed", range(54))
+    def test_random_monomial_sets(self, seed):
+        rng = random.Random(9000 + seed)
+        arity = 1 + seed % 9
+        lead = [
+            random_monomial(rng, arity, rng.randint(1, 6))
+            for _ in range(rng.randint(1, 14))
+        ]
+        self.assert_matches_oracle(packed_minimal(lead, arity), arity)
+
+    def test_exponents_at_the_field_limit(self):
+        for lead in ([(127, 0), (3, 2), (0, 127)], [(127, 1, 0), (1, 126, 1), (0, 2, 127)]):
+            self.assert_matches_oracle(packed_minimal(lead, len(lead[0])), len(lead[0]))
+
+    def test_empty_set_and_unit_monomial(self):
+        assert _hilbert_numerator([]) == oracle_numerator([]) == [1]
+        assert _hilbert_numerator([0]) == oracle_numerator([(0, 0, 0)]) == [0]
+
+    @pytest.mark.parametrize(
+        "name, which", [("gl2", "I"), ("gl3", "I"), ("sp4", "I"), ("o3-I2", "J"), ("so3-I2", "L")]
+    )
+    def test_catalogued_leading_ideals(self, name, which):
+        source = get_case(name).ideal(which)
+        self.assert_matches_oracle(fresh(source)._leads(GREVLEX), source.ring.arity)
+
+    def test_memo_hits_are_equal_unaliased_lists(self):
+        import classinv.groebner as gb
+
+        gens = [_pack(m) for m in [(2, 0, 0), (1, 1, 0), (0, 1, 1)]]
+        first = _hilbert_numerator(gens)
+        want = list(first)
+        first.append(99)  # a caller's edit must not reach the memo
+        again = _hilbert_numerator(gens[::-1])
+        third = _hilbert_numerator(gens)
+        assert again == third == want
+        assert again is not third
+        assert len(gb._NUMERATORS) == 1
+
+
+class TestCountsWithoutReducedBasis:
+    """A count query reads packed leading monomials: it neither
+    interreduces a run nor writes a basis-cache entry."""
+
+    def member(self):
+        from classinv.degeneration import expand_column_weights, family_member
+
+        case = get_case("so3-I1")
+        w = expand_column_weights(case.ring, (-2, -5, -1), ["x", "y", "z"])
+        return family_member(case.ideal("L"), w, Fraction(3))
+
+    def test_affine_counts_do_not_reduce(self, monkeypatch):
+        import classinv.groebner as gb
+
+        member = self.member()
+        reduced = count_calls(monkeypatch, gb._Run, "reduced")
+        counts = [affine_hilbert_function(member, d) for d in range(5)]
+        assert reduced == [] and member._gb == {}
+        cold = fresh(member)
+        cold_basis = [serialize(g) for g in cold.groebner_basis()]
+        assert counts == [affine_hilbert_function(cold, d) for d in range(5)]
+        # the kept complete run gives a later basis query the cold basis
+        assert [serialize(g) for g in member.groebner_basis()] == cold_basis
+        assert len(reduced) == 2
+
+    @pytest.mark.parametrize("name", ["gl2", "gl3", "sp4"])
+    def test_krull_dim_before_bounded_queries(self, name, monkeypatch):
+        import classinv.groebner as gb
+
+        source = get_case(name).ideal("I")
+        ideal = fresh(source)
+        reduced = count_calls(monkeypatch, gb._Run, "reduced")
+        assert krull_dim(ideal) == krull_dim(fresh(source))
+        assert reduced == [] and ideal._gb == {}
+        # a count completed the run, so every bound gets the complete basis,
+        # as it does after an unbounded query
+        complete = [serialize(g) for g in fresh(source).groebner_basis()]
+        for p in range(8):
+            assert [serialize(g) for g in ideal.groebner_basis(GREVLEX, degree_bound=p)] == complete
+        assert [hilbert_function(ideal, p) for p in range(8)] == [
+            hilbert_function(fresh(source), p) for p in range(8)
+        ]
+
+    def test_complete_hilbert_counts_do_not_reduce(self, monkeypatch):
+        import classinv.groebner as gb
+
+        source = get_case("gl2").ideal("I")
+        ideal = fresh(source)
+        krull_dim(ideal)
+        reduced = count_calls(monkeypatch, gb._Run, "reduced")
+        values = [hilbert_function(ideal, p) for p in range(8)]
+        assert reduced == [] and ideal._gb == {}
+        assert values == [hilbert_function(fresh(source), p) for p in range(8)]
+
+    def test_unit_ideal_has_no_krull_dimension(self):
+        r = ring("x", "y")
+        with pytest.raises(ValueError, match="unit ideal"):
+            krull_dim(make_ideal(r, "x*y - 1", "x"))

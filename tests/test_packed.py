@@ -11,7 +11,6 @@ from classinv.groebner import (
     Ideal,
     _Divisors,
     _Engine,
-    _minimal_monomials,
     _pack,
     _Run,
     _unpack,
@@ -108,8 +107,7 @@ class TestPackedHelpers:
         ms = [m for m in random_monomials(rng, arity, 30) if sum(m) <= 6]
         ms += [tuple(min(MAX_EXP, e + 1) for e in m) for m in ms[:5]] + ms[:3]
         want = brute_force_minimal(ms)
-        assert {_unpack(p, arity) for p in eng.minimal(map(_pack, ms))} == want
-        got = _minimal_monomials(ms)
+        got = [_unpack(p, arity) for p in eng.minimal(map(_pack, ms))]
         assert set(got) == want and len(got) == len(want)
         assert [sum(m) for m in got] == sorted(sum(m) for m in got)
 
@@ -245,3 +243,16 @@ class TestExponentOverflow:
         for order in (LEX, GREVLEX):
             gb = groebner_basis(I, order)
             assert sorted(str(g) for g in gb) == ["x - y", "y^127 - y"]
+
+
+def test_runs_share_one_engine_per_ring_for_lex_and_grevlex():
+    # the engine's key and degree memos serve every run of the ring and
+    # order; each weighted order gets an engine of its own
+    r = ring("x", "y", "z")
+    a, b = [parse_poly("x^2 - y", r)], [parse_poly("y*z - x", r)]
+    for order in (GREVLEX, LEX):
+        run = _Run(r, a, order)
+        assert _Run(ring("x", "y", "z"), b, order).eng is run.eng
+        assert _Run(r, b, LEX if order is GREVLEX else GREVLEX).eng is not run.eng
+    w = weighted_order([-1, -2, -1])
+    assert _Run(r, a, w).eng is not _Run(r, b, w).eng

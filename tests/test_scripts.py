@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -47,10 +48,15 @@ def test_degeneration_demo_matches_golden():
     assert proc.stdout == (ROOT / "tests" / "golden" / "degeneration_demo.txt").read_text()
 
 
-def test_bench_pairs_summarises_pairs():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_pairs_summarises_pairs():
+    bench = load_bench_pairs()
     runs = {
         side: [{"metrics": {"cpu_ref": {"value": v}}} for v in values]
         for side, values in (("parent", [10, 12, 11, 13]), ("change", [9, 12, 8, 14]))
@@ -63,3 +69,38 @@ def test_bench_pairs_summarises_pairs():
     assert out["parent"]["q1"] <= out["parent"]["median"] <= out["parent"]["q3"]
     assert out["pairs_better"] == 2  # 9 < 10 and 8 < 11; 12 = 12 is a tie
     assert out["median_change"] == 10.5 / 11.5 - 1
+
+
+def test_bench_pairs_records_a_run_without_a_json_result(tmp_path, monkeypatch):
+    # one run's last stdout line is not JSON: that run is recorded as
+    # incorrect with its stderr tail, and every other run is still recorded
+    bench = load_bench_pairs()
+    good = {"correct": True, "failed": 0, "metrics": {"cpu_ref": {"value": 1.0}}}
+    outputs = iter(
+        [(json.dumps(good) + "\n", "")] * 3
+        + [("cpu_ref 1.0 ref-loops\n", "Traceback ...\nMemoryError\n")]
+        + [(json.dumps(good) + "\n", "")] * 16
+    )
+
+    def fake_run(*args, **kwargs):
+        out, err = next(outputs)
+        return subprocess.CompletedProcess(args, 1 if err else 0, out, err)
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench, "checkout", lambda path: {"commit": path.name})
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "cpu_ref", "unit": "ref-loops", "better": "lower", "bound": 0.2}],
+    }))
+    out = tmp_path / "BENCH.json"
+    code = bench.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                       "--out", str(out)])
+    assert code == 1
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    # pair 1 runs the change first: the fourth run is the parent's
+    assert entry["correct"]["parent"] == [True, False] + [True] * 8
+    assert entry["correct"]["change"] == [True] * 10
+    assert entry["errors"] == [{"correct": False, "error": "Traceback ...\nMemoryError"}]
