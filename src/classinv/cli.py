@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -118,23 +119,24 @@ def _cmd_tangent(args) -> int:
 
 def _cmd_dims(args) -> int:
     sit = args.situation
-    try:
+    try:  # every line is computed, so every parameter checked, before any is printed
         params = tuple(int(v) for v in args.params.split(","))
-        print(f"situation {sit}, parameters {params}")
+        lines = [f"situation {sit}, parameters {params}"]
         if sit not in ("SL", "SO"):  # no closed-form nilcone for SL or SO
-            print(f"  nilcone dimension: {orbits.nilcone_dim(sit, params)}")
+            lines.append(f"  nilcone dimension: {orbits.nilcone_dim(sit, params)}")
         if sit in ("GL", "O", "Sp"):
             locus = orbits.flatness_locus(sit, params)
-            print(f"  flatness locus (stratum indices): {locus}")
-            print(f"  flat everywhere: {orbits.flat_everywhere(sit, params)}")
+            lines.append(f"  flatness locus (stratum indices): {locus}")
+            lines.append(f"  flat everywhere: {orbits.flat_everywhere(sit, params)}")
             N = orbits.max_rank(sit, params)
             fibers = [orbits.fiber_dim(sit, params, r) for r in range(N + 1)]
-            print(f"  fiber dimensions by stratum: {fibers}")
+            lines.append(f"  fiber dimensions by stratum: {fibers}")
         if sit in ("GL", "O", "SL", "SO", "Sp"):
-            print(f"  gorenstein: {orbits.gorenstein(sit, params)}")
+            lines.append(f"  gorenstein: {orbits.gorenstein(sit, params)}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(lines))
     return 0
 
 
@@ -153,14 +155,21 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _nonnegative(kind):
+    """An argparse type: a finite `kind` (int or float) value >= 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        if not value < math.inf:  # inf, or nan, which no comparison holds for
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--case", help="single case to run")
     run.add_argument("--all", action="store_true", help="run every case")
     run.add_argument("--list-cases", action="store_true", help="list the registry")
-    run.add_argument("--pmax", type=_nonnegative_int, default=6, help="largest Hilbert degree")
+    run.add_argument("--pmax", type=_nonnegative(int), default=6, help="largest Hilbert degree")
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    run.add_argument("--time-budget", type=_nonnegative(float), default=None, metavar="SECONDS")
 
     deg = sub.add_parser("degenerate", help="compute a one-parameter flat limit")
     deg.add_argument("--case", required=True)

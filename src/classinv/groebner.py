@@ -43,15 +43,10 @@ an exact prefix of the run to any larger bound: the same pairs, chain
 deletions and basis indices, hence the same reduced basis as a fresh
 run to that bound.  When the heap empties the run is complete.
 
-A count (`affine_hilbert_function`, `krull_dim`, `hilbert_function`
-once complete) reads one Hilbert-series numerator, which depends only
-on the minimal leading monomials.  They come packed from a complete
-basis, a cone, or the run advanced to completion and kept unreduced
-until a basis query reduces it as it would have.  Each set of minimal
-monomials gets its numerator once per process.  Below completion a
-bound reuses the last bound's truncated numerator when the minimal
-leading monomials of degree <= the bound are the same.  Lex and grevlex
-runs of one ring share an engine and its key and degree memos.
+Every count reads the Hilbert-series numerator of the minimal leading
+monomials that `Ideal._leads` gives, packed (see there).  Per process:
+- `_NUMERATORS` holds the numerator of each set of minimal monomials;
+- `_ENGINES` holds one engine per ring for lex and for grevlex.
 
 An unbounded query first looks for its answer in the Groebner cones of
 the complete bases the ideal holds (Mora and Robbiano, "The Groebner
@@ -427,6 +422,7 @@ class _Run:
         self.sugars: List[int] = []  # per basis element
         self.pairs: List[Tuple[int, int, int, int]] = []  # heap: (sugar, lcm key, i, j)
         self.lcms: Dict[Tuple[int, int], int] = {}  # live pairs
+        self.leads: Optional[List[int]] = None  # minimal leading monomials once complete
         self._reduced: List[Polynomial] = []
         self._reduced_size = 0  # basis length when `_reduced` was made
         seed = [eng.from_poly(g)[0] for g in gens if not g.is_zero()]
@@ -480,7 +476,8 @@ class _Run:
         """Process the pairs of sugar <= degree_bound (all if None).
 
         The first live pair above the bound stays in the heap.  Returns
-        True when no pair is left: the basis is then complete.
+        True when no pair is left: the basis is then complete, and keeps
+        its minimal leading monomials in `leads`.
         """
         eng, basis, pairs, lcms = self.eng, self.basis, self.pairs, self.lcms
         while pairs:
@@ -498,6 +495,8 @@ class _Run:
             s = eng.top_reduce(s, self.index)
             if s:
                 self.add_element(eng.strip_content(s), sugar)
+        if self.leads is None:
+            self.leads = eng.minimal(self.index.lts)
         return True
 
     def reduced(self) -> List[Polynomial]:
@@ -508,7 +507,7 @@ class _Run:
         eng, order = self.eng, self.order
         # minimalize: drop elements whose leading term another element divides
         # (leading terms are distinct: each element enters top-reduced)
-        kept = set(eng.minimal(self.index.lts))
+        kept = set(self.leads if self.leads is not None else eng.minimal(self.index.lts))
         index = _Divisors(eng.guard, (b for b in self.basis if b[0] in kept))
         # inter-reduce tails against the other elements: under a weight that
         # is positive on a variable, a tail term can be a multiple of the
@@ -541,12 +540,14 @@ class Ideal:
     order on the ideal, with its leading monomials.  The first whose
     leading monomials all stay leading under the query's term order is
     the query's reduced basis (see the module docstring), and is kept in
-    `_complete` sorted for that order.  A count reads the numerator
-    `_numerators` keeps per order; it makes no basis query, and a run it
-    completes stays in `_runs`, unreduced, until one.  `_packed` holds,
-    per basis list in `_gb`, the engine and the divisor index over that
-    basis packed, which answer the normal forms reduced against it.
-    Instances are otherwise immutable.
+    `_complete` sorted for that order.
+
+    Caches, one line each; instances are otherwise immutable:
+    - `_gb`: per (order, bound), the reduced basis a query got;
+    - `_runs`: per order, the run until its basis is reduced (`leads` once complete);
+    - `_complete`: per order, the complete reduced basis;
+    - `_cones`: the complete bases under term orders, with their leading monomials;
+    - `_packed`: per basis in `_gb`, the engine and divisor index for normal forms.
     """
 
     def __init__(self, ring: Ring, generators: Iterable[Polynomial]):
@@ -563,12 +564,6 @@ class Ideal:
         # (leading monomials, basis) of each complete basis computed under
         # a term order, oldest first: the cones a new order is tested against
         self._cones: List[Tuple[List[Monomial], List[Polynomial]]] = []
-        # per order, while its run is incomplete: the minimal leading
-        # monomials of the last bound, their Hilbert-series numerator and
-        # the counts up to that bound
-        self._truncated: Dict[tuple, Tuple[set, List[int], List[int]]] = {}
-        # Hilbert-series numerator of the complete leading-term ideal, per order
-        self._numerators: Dict[tuple, List[int]] = {}
         # id(basis) -> (basis, engine, index); holding the list keeps its id unique
         self._packed: Dict[int, Tuple[List[Polynomial], _Engine, _Divisors]] = {}
 
@@ -603,9 +598,7 @@ class Ideal:
             ]
             if usable:
                 return self._gb[(sig, min(usable))]
-        basis = self._complete.get(sig)
-        if basis is None and degree_bound is None:
-            basis = self._cone_basis(order)
+        basis = self._complete.get(sig) if degree_bound is not None else self._known_basis(order)
         if basis is None:
             run = self._runs.pop(sig, None) or _Run(self.ring, self.generators, order)
             if run.advance(degree_bound):
@@ -624,13 +617,16 @@ class Ideal:
             self._cones.append(([g.leading_monomial(order) for g in basis], basis))
         return basis
 
-    def _cone_basis(self, order: MonomialOrder) -> Optional[List[Polynomial]]:
-        """The first kept cone basis whose leading monomials all stay
+    def _known_basis(self, order: MonomialOrder) -> Optional[List[Polynomial]]:
+        """The complete reduced basis under `order` that the ideal holds,
+        else the first kept cone basis whose leading monomials all stay
         leading under `order`, a term order here, sorted as `_Run.reduced`
-        sorts; None when there is none."""
-        if not _well_ordered(self, order):
-            return None
-        key, sig = order.key, _order_sig(order)
+        sorts; None when there is neither."""
+        sig = _order_sig(order)
+        basis = self._complete.get(sig)
+        if basis is not None or not _well_ordered(self, order):
+            return basis
+        key = order.key
         for leads, basis in self._cones:
             if all(max(g.terms, key=key) == m for m, g in zip(leads, basis)):
                 self._runs.pop(sig, None)  # a bounded run of this order is moot
@@ -639,21 +635,32 @@ class Ideal:
                 return self._complete[sig]
         return None
 
-    def _leads(self, order: MonomialOrder) -> List[int]:
-        """The minimal leading monomials, packed, of the ideal under
-        `order`: those of a complete basis it holds or finds in a cone,
-        else of its run advanced to completion, which stays in `_runs`
-        unreduced until a basis query asks for the basis."""
+    def _leads(self, order: MonomialOrder, bound: Optional[int] = None) -> List[int]:
+        """The minimal leading monomials, packed, under `order`, for counts
+        in degrees <= `bound` (None: all): those of a complete run or basis;
+        else of degree <= bound of the basis truncated there, unless that
+        query completes it; else of a cone basis, or of the run advanced to
+        completion, which stays in `_runs` unreduced until a basis query.
+        A complete count makes no basis query."""
         sig = _order_sig(order)
-        basis = self._complete.get(sig)
-        if basis is None:
-            basis = self._cone_basis(order)
+        run = self._runs.get(sig)
+        if run is not None and run.leads is not None:
+            return run.leads
+        if bound is not None and sig not in self._complete:
+            basis = self.groebner_basis(order, degree_bound=bound)
+            if sig not in self._complete:
+                eng = _engine(self.ring, order)
+                lead = (_pack(g.leading_monomial(order)) for g in basis)
+                return eng.minimal(m for m in lead if eng.degree(m) <= bound)
+        basis = self._known_basis(order)
         if basis is not None:
             return [_pack(g.leading_monomial(order)) for g in basis]
         run = self._runs.pop(sig, None) or _Run(self.ring, self.generators, order)
         run.advance(None)
+        # kept for a later basis query, which builds an index of its own
+        run.index._memo.clear()
         self._runs[sig] = run
-        return run.eng.minimal(run.index.lts)
+        return run.leads
 
     def _basis_for(self, order: MonomialOrder, p: Polynomial) -> List[Polynomial]:
         if self.is_homogeneous() and p.is_homogeneous() and not p.is_zero():
@@ -749,7 +756,10 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
-    """I cap J via the auxiliary variable: t*I + (1-t)*J, then eliminate t."""
+    """I cap J via the auxiliary variable: t*I + (1-t)*J, then eliminate t.
+    The order ranks t-degree first, ties by grevlex, so the t-free part of
+    the reduced basis, in grevlex order, is the reduced grevlex basis of I
+    cap J (elimination theorem: Cox, Little, O'Shea, ch. 3 sec. 1)."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     base = a.ring
@@ -763,11 +773,8 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     gens += [(one - t) * g.map_ring(ext) for g in b.generators]
     elim = weighted_order([-1] + [0] * base.arity)
     basis = Ideal(ext, gens).groebner_basis(elim)
-    kept = [g for g in basis if all(m[0] == 0 for m in g.terms)]
-    result = [g.map_ring(base) for g in kept]
-    inter = Ideal(base, result)
-    # re-present with the reduced grevlex basis for reproducibility
-    return Ideal(base, inter.groebner_basis(GREVLEX))
+    kept = [g.map_ring(base) for g in basis if all(m[0] == 0 for m in g.terms)]
+    return _with_reduced_basis(base, kept, GREVLEX)
 
 
 # ---- standard monomial counting -----------------------------------------
@@ -850,46 +857,15 @@ def _counts_from_numerator(num: List[int], arity: int, pmax: int) -> List[int]:
 
 
 def hilbert_function(ideal: Ideal, p: int, order: MonomialOrder = GREVLEX) -> int:
-    """Dimension of the degree-p part of ring/ideal (ideal homogeneous).
-
-    While the order's run is incomplete, the counts come from the basis
-    truncated at p, whose minimal leading monomials of degree <= p give a
-    numerator; a larger bound with the same minimal monomials extends the
-    counts from the kept numerator.  Once the run is complete, the counts
-    come from the one Hilbert-series numerator of the whole leading-term
-    ideal.
-    """
+    """Dimension of the degree-p part of ring/ideal (ideal homogeneous),
+    read off the Hilbert-series numerator of the minimal leading
+    monomials that `Ideal._leads` gives for degrees <= p."""
     if p < 0:
         raise ValueError("degree must be nonnegative")
     if not ideal.is_homogeneous():
         raise ValueError("hilbert_function requires homogeneous generators")
-    sig, arity = _order_sig(order), ideal.ring.arity
-    if sig not in ideal._complete and sig not in ideal._numerators:
-        kept = ideal._truncated.get(sig)
-        if kept is not None and len(kept[2]) > p:
-            return kept[2][p]
-        basis = ideal.groebner_basis(order, degree_bound=p)
-        if sig not in ideal._complete:
-            eng = _engine(ideal.ring, order)
-            lead = (_pack(g.leading_monomial(order)) for g in basis)
-            gens = set(eng.minimal(m for m in lead if eng.degree(m) <= p))
-            num = kept[1] if kept is not None and kept[0] == gens else _hilbert_numerator(list(gens))
-            counts = _counts_from_numerator(num, arity, p)
-            ideal._truncated[sig] = (gens, num, counts)
-            return counts[p]
-    return _counts_from_numerator(_numerator(ideal, order), arity, p)[p]
-
-
-def _numerator(ideal: Ideal, order: MonomialOrder) -> List[int]:
-    """N(t) of the whole leading-term ideal under `order`, computed once per
-    ideal and order from `Ideal._leads`.  It makes no basis query: an
-    unbounded one would make the basis cache answer smaller bounds with
-    the complete basis, and a count needs no reduced basis."""
-    sig = _order_sig(order)
-    num = ideal._numerators.get(sig)
-    if num is None:
-        num = ideal._numerators[sig] = _hilbert_numerator(ideal._leads(order))
-    return num
+    num = _hilbert_numerator(ideal._leads(order, p))
+    return _counts_from_numerator(num, ideal.ring.arity, p)[p]
 
 
 def affine_hilbert_function(ideal: Ideal, d: int) -> int:
@@ -900,7 +876,8 @@ def affine_hilbert_function(ideal: Ideal, d: int) -> int:
     total degree.  Used as the flatness witness for the torus families.
     Every d reads its count off the one grevlex numerator of the ideal.
     """
-    return _counts_from_numerator(_numerator(ideal, GREVLEX), ideal.ring.arity + 1, d)[d]
+    num = _hilbert_numerator(ideal._leads(GREVLEX))
+    return _counts_from_numerator(num, ideal.ring.arity + 1, d)[d]
 
 
 def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
@@ -914,7 +891,7 @@ def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
     n = ideal.ring.arity
     if ideal.is_zero():
         return n
-    num = _numerator(ideal, order)
+    num = _hilbert_numerator(ideal._leads(order))
     if not any(num):  # the leading monomial 1: a zero Hilbert series
         raise ValueError("unit ideal has no Krull dimension")
     m = 0

@@ -382,9 +382,8 @@ class TestHilbert:
     def test_affine_counts_from_one_numerator(self, monkeypatch):
         import classinv.groebner as gb
 
-        calls = []
-        real = gb._hilbert_numerator
-        monkeypatch.setattr(gb, "_hilbert_numerator", lambda g: calls.append(1) or real(g))
+        kernel_runs = {}  # each new entry is one kernel run
+        monkeypatch.setattr(gb, "_NUMERATORS", kernel_runs)
         r = ring("x", "y", "z")
         I = make_ideal(r, "x^2 - y", "y*z^2 - x + 1", "z^3 - x*y")
         lead = [g.leading_monomial() for g in groebner_basis(I)]
@@ -394,7 +393,7 @@ class TestHilbert:
         ]
         assert [affine_hilbert_function(I, d) for d in range(9)] == want
         assert affine_hilbert_function(I, 3) == want[3]
-        assert len(calls) == 1
+        assert len(kernel_runs) == 1
 
 
 def random_monomial(rng, arity, degree):
@@ -586,24 +585,26 @@ def test_weighted_run_counts_pinned(monkeypatch, family, column_weights, spolys,
 
 
 def test_hilbert_sweep_numerator_count_pinned(monkeypatch):
-    # below completion a bound whose minimal leading monomials equal the
-    # last bound's reuses its numerator: p = 1 for all five ideals (no
-    # leading monomial of degree <= 1), and p = 5 for gl3 I, o3-I2 J and I2
-    # (whose bases stop growing at degree 4 but complete at p = 6).
+    # the numerator kernel runs once per distinct set of minimal leading
+    # monomials: p = 0 gives the empty set, shared by all five ideals, and
+    # p = 1 adds nothing (no leading monomial of degree <= 1).  gl2 and sp4
+    # complete at p = 4 with p = 3's set; gl3 I, o3-I2 J and I2 stop
+    # growing at degree 4 and complete at p = 6 with p = 4's set.
     # Recomputing every truncated numerator gave [5, 5, 5, 5, 5, 3, 3, 0, 0, 0].
     import classinv.groebner as gb
 
-    calls = count_calls(monkeypatch, gb, "_hilbert_numerator")
+    kernel_runs = {}  # each new entry is one kernel run
+    monkeypatch.setattr(gb, "_NUMERATORS", kernel_runs)
     sources = [get_case(n).ideal("I") for n in ("gl2", "gl3", "sp4")]
     sources += [get_case("o3-I2").ideal(n) for n in ("J", "I2")]
     per_bound = [0] * 10
     for source in sources:
         ideal = fresh(source)
         for p in range(10):
-            before = len(calls)
+            before = len(kernel_runs)
             hilbert_function(ideal, p)
-            per_bound[p] += len(calls) - before
-    assert per_bound == [5, 0, 5, 5, 5, 0, 3, 0, 0, 0]
+            per_bound[p] += len(kernel_runs) - before
+    assert per_bound == [1, 0, 5, 5, 3, 0, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize(
@@ -751,3 +752,36 @@ class TestCountsWithoutReducedBasis:
         r = ring("x", "y")
         with pytest.raises(ValueError, match="unit ideal"):
             krull_dim(make_ideal(r, "x*y - 1", "x"))
+
+
+def test_completed_run_keeps_leads_and_drops_its_divisor_memo():
+    # the run a count completes stays in `_runs` for a later basis query,
+    # which builds an index of its own: the run's divisor memo is not read again
+    ideal = fresh(get_case("gl3").ideal("I"))
+    krull_dim(ideal)
+    (run,) = ideal._runs.values()
+    assert run.index._memo == {}
+    assert run.leads == ideal._leads(GREVLEX)
+    assert sorted(run.leads) == sorted(_pack(g.leading_monomial()) for g in ideal.groebner_basis())
+
+
+@pytest.mark.parametrize(
+    "name, gens_a, gens_b",
+    [
+        ("xy", ["x"], ["y"]),
+        ("xyz", ["x", "y^2"], ["y", "z"]),
+        ("inhomogeneous", ["x^2 - y", "y*z - 1"], ["x - z", "y^2"]),
+    ],
+)
+def test_intersection_starts_one_run(name, gens_a, gens_b, monkeypatch):
+    # the elimination run; its t-free part is the result's reduced grevlex
+    # basis, which answers the result's grevlex queries without a run
+    import classinv.groebner as gb
+
+    r = ring("x", "y", "z")
+    runs = count_calls(monkeypatch, gb, "_Run")
+    inter = ideal_intersection(make_ideal(r, *gens_a), make_ideal(r, *gens_b))
+    assert inter.groebner_basis() == list(inter.generators)
+    assert len(runs) == 1
+    cold = [serialize(g) for g in fresh(inter).groebner_basis()]
+    assert [serialize(g) for g in inter.generators] == cold

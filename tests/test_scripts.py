@@ -48,6 +48,13 @@ def test_degeneration_demo_matches_golden():
     assert proc.stdout == (ROOT / "tests" / "golden" / "degeneration_demo.txt").read_text()
 
 
+def test_hilbert_tables_match_golden():
+    # recorded before the counts shared one leading-monomial path
+    proc = run_script("hilbert_tables.py", "--pmax", "9")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "golden" / "hilbert_tables_pmax9.txt").read_text()
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench = importlib.util.module_from_spec(spec)
