@@ -2,8 +2,9 @@
 random small ideals; weighted orders, which sympy lacks, are checked by
 the Buchberger certificate and ideal equality with the grevlex basis.
 Hilbert values and ideal membership are checked against counts from
-sympy's leading terms and `GroebnerBasis.contains`, and normal forms
-against the remainder of `sympy.reduced` modulo sympy's reduced basis."""
+sympy's leading terms and `GroebnerBasis.contains`, normal forms
+against the remainder of `sympy.reduced` modulo sympy's reduced basis,
+and intersections against sympy's lex elimination."""
 
 import random
 from fractions import Fraction
