@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .groebner import Ideal
@@ -108,15 +109,12 @@ class CaseSpec:
     tangent: Optional[TangentData] = None
     independence: Optional[IndependenceData] = None
     components: List[Tuple[str, Ideal]] = field(default_factory=list)
-    quotient_ring: Optional[Ring] = None  # reduced ambient for auxiliary Hilbert data
-    quotient_ideals: Dict[str, Ideal] = field(default_factory=dict)  # in quotient_ring
     checks: List[CheckSpec] = field(default_factory=list)  # run in this order
 
     def ideal(self, which: str) -> Ideal:
-        for table in (self.ideals, self.quotient_ideals):
-            if which in table:
-                return table[which]
-        raise UnsupportedIdeal(f"case {self.name!r} has no catalogued ideal {which!r}")
+        if which not in self.ideals:
+            raise UnsupportedIdeal(f"case {self.name!r} has no catalogued ideal {which!r}")
+        return self.ideals[which]
 
 
 class UnsupportedIdeal(KeyError):
@@ -159,6 +157,16 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 def _upper(a: Matrix, offset: int = 0) -> list:
     """The entries a[i][j] with j >= i + offset, row by row."""
     return [a[i][j] for i in range(len(a)) for j in range(i + offset, len(a[i]))]
+
+
+def _det(a: Matrix) -> Polynomial:
+    """Determinant of a square matrix of polynomials, expanded along the
+    first row."""
+    if len(a) == 1:
+        return a[0][0]
+    terms = [(-1) ** j * v * _det([row[:j] + row[j + 1:] for row in a[1:]])
+             for j, v in enumerate(a[0])]
+    return sum(terms[1:], terms[0])
 
 
 def _nilcone_case(name: str, situation: str, params: Tuple[int, ...], r: Ring,
@@ -253,42 +261,34 @@ def build_gl2() -> CaseSpec:
     case.expected["nilcone-dim"] = Expected(
         nilcone_dim("GL", (2, 2, 2)), "nilcone dimension, closed form (even branch)"
     )
-
-    def coeffs(**kw) -> Coeffs:
-        return dict(kw)
-
     rels = [
-        ("r1", coeffs(f1=-P("y21"), h2=P("y22"), h4=P("y12"))),
-        ("r2", coeffs(f3=-P("x11"), h1=P("x21"), h2=P("x11"))),
-        ("r3", coeffs(f4=P("x11"), h1=-P("x22"), h2=-P("x12"))),
+        ("r1", dict(f1=-P("y21"), h2=P("y22"), h4=P("y12"))),
+        ("r2", dict(f3=-P("x11"), h1=P("x21"), h2=P("x11"))),
+        ("r3", dict(f4=P("x11"), h1=-P("x22"), h2=-P("x12"))),
     ]
-    morphs = []
-    for i in (1, 2, 3, 4):
-        morphs.append((f"psi{i}", {f"f{i}": r.one()}))
     case.tangent = TangentData(
         generators=gens,
         dim_module=7,
         relations=rels,
-        morphisms=[m for m in morphs if m[0] in ("psi1", "psi3", "psi4")],
+        morphisms=[(f"psi{i}", {f"f{i}": r.one()}) for i in (1, 3, 4)],
         expected_rank=3,
         lower_bound=4,
         lower_citation="principal-component dimension lower bound",
         rank_citation="three independent pairings against the displayed relations",
     )
-    G = lambda t: parse_poly(t, r)
     case.components = [
-        ("K1", Ideal(r, [G("x11"), G("x12"), G("x21"), G("x22")])),
-        ("K2", Ideal(r, [G("y11"), G("y12"), G("y21"), G("y22")])),
+        ("K1", Ideal(r, [P("x11"), P("x12"), P("x21"), P("x22")])),
+        ("K2", Ideal(r, [P("y11"), P("y12"), P("y21"), P("y22")])),
         (
             "K3",
             Ideal(
                 r,
                 [
-                    G("x11"),
-                    G("x21"),
-                    G("y22*y11 - y21*y12"),
-                    G("y22*x12 + y12*x22"),
-                    G("y21*x12 + y11*x22"),
+                    P("x11"),
+                    P("x21"),
+                    P("y22*y11 - y21*y12"),
+                    P("y22*x12 + y12*x22"),
+                    P("y21*x12 + y11*x22"),
                 ],
             ),
         ),
@@ -297,11 +297,11 @@ def build_gl2() -> CaseSpec:
             Ideal(
                 r,
                 [
-                    G("y11"),
-                    G("y21"),
-                    G("x22*x11 - x21*x12"),
-                    G("y22*x11 + y12*x21"),
-                    G("y22*x12 + y12*x22"),
+                    P("y11"),
+                    P("y21"),
+                    P("x22*x11 - x21*x12"),
+                    P("y22*x11 + y12*x21"),
+                    P("y22*x12 + y12*x22"),
                 ],
             ),
         ),
@@ -339,18 +339,13 @@ GL3_HILBERT_COEFFS: Tuple[Fraction, ...] = (
 def build_gl3() -> CaseSpec:
     r, x, y, u2, fs, hs = _gl_pieces(3)
 
-    def yminor(rows, cols):
-        (r1, r2), (c1, c2) = rows, cols
-        return u2[(r1, c1)] * u2[(r2, c2)] - u2[(r1, c2)] * u2[(r2, c1)]
-
-    def xminor(rows, cols):
-        (r1, r2), (c1, c2) = rows, cols
-        return x[(r1, c1)] * x[(r2, c2)] - x[(r1, c2)] * x[(r2, c1)]
+    def minor(m, rows, cols):
+        return _det([[m[(i, j)] for j in cols] for i in rows])
 
     s_labels = [(1, (2, 3)), (1, (1, 3)), (2, (1, 3)), (1, (1, 2)), (2, (1, 2)), (3, (1, 2))]
     t_labels = [(1, (1, 2)), (1, (1, 3)), (2, (1, 3)), (1, (2, 3)), (2, (2, 3)), (3, (2, 3))]
-    ss = [x[(i, 2)] * yminor((2, 3), cd) for (i, cd) in s_labels]
-    ts = [y[(i, 2)] * xminor(rp, (1, 2)) for (i, rp) in t_labels]
+    ss = [x[(i, 2)] * minor(u2, (2, 3), cd) for (i, cd) in s_labels]
+    ts = [y[(i, 2)] * minor(x, rp, (1, 2)) for (i, rp) in t_labels]
     P = lambda t: parse_poly(t, r)
     case = CaseSpec(
         name="gl3",
@@ -371,23 +366,19 @@ def build_gl3() -> CaseSpec:
     case.expected["hilbert-coeffs"] = Expected(
         GL3_HILBERT_COEFFS, "classical Hilbert function, degree-8 closed form"
     )
-
-    def coeffs(**kw) -> Coeffs:
-        return dict(kw)
-
     rels = [
-        ("r1", coeffs(h1=-P("y21"), h2=P("y11"))),
-        ("r2", coeffs(f1=-P("y21"), h2=P("y33"), h5=P("y23"), h8=P("y13"))),
-        ("r3", coeffs(f4=-P("y21"), h2=P("y32"), h5=P("y22"), h8=P("y12"))),
-        ("r4", coeffs(f7=-P("y21"), h2=P("y31"), h5=P("y21"), h8=P("y11"))),
-        ("r5", coeffs(f8=-P("x21"), h4=P("x32"), h5=P("x22"), h6=P("x12"))),
-        ("r6", coeffs(f9=-P("x21"), h4=P("x33"), h5=P("x23"), h6=P("x13"))),
-        ("r7", coeffs(f6=P("x12*y11"), f9=-P("x12*y12"), s1=-P("x23"), s2=-P("x13"))),
-        ("r8", coeffs(f1=-P("x22*y12"), f2=P("x21*y12"), t1=P("y33"), t4=-P("y13"))),
-        ("r9", coeffs(f5=P("x12*y11"), f8=-P("x12*y12"), s1=-P("x22"), s2=-P("x12"))),
+        ("r1", dict(h1=-P("y21"), h2=P("y11"))),
+        ("r2", dict(f1=-P("y21"), h2=P("y33"), h5=P("y23"), h8=P("y13"))),
+        ("r3", dict(f4=-P("y21"), h2=P("y32"), h5=P("y22"), h8=P("y12"))),
+        ("r4", dict(f7=-P("y21"), h2=P("y31"), h5=P("y21"), h8=P("y11"))),
+        ("r5", dict(f8=-P("x21"), h4=P("x32"), h5=P("x22"), h6=P("x12"))),
+        ("r6", dict(f9=-P("x21"), h4=P("x33"), h5=P("x23"), h6=P("x13"))),
+        ("r7", dict(f6=P("x12*y11"), f9=-P("x12*y12"), s1=-P("x23"), s2=-P("x13"))),
+        ("r8", dict(f1=-P("x22*y12"), f2=P("x21*y12"), t1=P("y33"), t4=-P("y13"))),
+        ("r9", dict(f5=P("x12*y11"), f8=-P("x12*y12"), s1=-P("x22"), s2=-P("x12"))),
         (
             "r10",
-            coeffs(
+            dict(
                 h1=-P("x32*y22"),
                 h2=-(P("x22*y22") + P("x12*y32")),
                 s1=P("x31"),
@@ -395,13 +386,9 @@ def build_gl3() -> CaseSpec:
                 t3=P("y11"),
             ),
         ),
-        ("r11", coeffs(t1=P("y11"), h1=-P("x22*y12"), h4=P("x12*y12"))),
+        ("r11", dict(t1=P("y11"), h1=-P("x22*y12"), h4=P("x12*y12"))),
     ]
-    morphs: List[Tuple[str, Coeffs]] = []
-    for i in range(1, 10):
-        if i == 3:
-            continue
-        morphs.append((f"psi{i}", {f"f{i}": r.one()}))
+    morphs = [(f"psi{i}", {f"f{i}": r.one()}) for i in range(1, 10) if i != 3]
     for k, (a, b) in enumerate([(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)], 1):
         morphs.append(
             (
@@ -414,14 +401,12 @@ def build_gl3() -> CaseSpec:
             (
                 f"gamma{k}",
                 {
-                    f"s{idx}": -x[(i, col)] * yminor((1, 2), cd)
+                    f"s{idx}": -x[(i, col)] * minor(u2, (1, 2), cd)
                     for idx, (i, cd) in enumerate(s_labels, 1)
                 },
             )
         )
-    m1 = x[(1, 3)] * x[(2, 2)] - x[(1, 2)] * x[(2, 3)]
-    m2 = x[(1, 3)] * x[(3, 2)] - x[(1, 2)] * x[(3, 3)]
-    m3 = x[(2, 3)] * x[(3, 2)] - x[(2, 2)] * x[(3, 3)]
+    m1, m2, m3 = (minor(x, rows, (3, 2)) for rows in ((1, 2), (1, 3), (2, 3)))
     for k, c in [(1, 1), (2, 3)]:
         vals = [m1 * y[(1, c)], -m1 * y[(2, c)], m2 * y[(2, c)],
                 m1 * y[(3, c)], -m2 * y[(3, c)], m3 * y[(3, c)]]
@@ -506,22 +491,22 @@ def build_o2() -> CaseSpec:
 # O3 / SO3 shared ambient
 
 
-def _o3_quadrics(r: Ring) -> List[Polynomial]:
-    P = lambda t: parse_poly(t, r)
-    return [
-        P("x1^2 + x2^2 + x3^2"),
-        P("y1^2 + y2^2 + y3^2"),
-        P("z1^2 + z2^2 + z3^2"),
-        P("x1*y1 + x2*y2 + x3*y3"),
-        P("x1*z1 + x2*z2 + x3*z3"),
-        P("z1*y1 + z2*y2 + z3*y3"),
-    ]
-
-
-def _det3(r: Ring) -> Polynomial:
-    return parse_poly(
-        "x1*y2*z3 - x1*y3*z2 - x2*y1*z3 + x2*y3*z1 + x3*y1*z2 - x3*y2*z1", r
-    )
+def _o3_frame(name: str, situation: str, title: str) -> Tuple[CaseSpec, Ideal]:
+    """The set-up O3 and SO3 share.  The ring holds the columns x, y, z of
+    a 3x3 matrix w.  J is generated by the Gram entries of w^T w, diagonal
+    first, and for SO3 also by det w.  Returns the case holding J, and the
+    fiber ideal L, in which the Gram diagonal and det w equal 1; the
+    builder files L after its fixed-point ideals."""
+    r = _matrix_ring("xyz", 3)
+    w = [[r.var(f"{c}{i}") for c in "xyz"] for i in (1, 2, 3)]
+    gram = _matmul(_transpose(w), w)
+    diagonal, pairings = [gram[i][i] for i in range(3)], _upper(gram, 1)
+    special = [_det(w)] if situation == "SO" else []
+    fft = diagonal + pairings + special
+    case = CaseSpec(name=name, situation=situation, params=(3, 3), ring=r, title=title, fft=fft)
+    case.ideals["J"] = Ideal(r, fft)
+    one = r.one()
+    return case, Ideal(r, [q - one for q in diagonal] + pairings + [d - one for d in special])
 
 
 O3_PRINTED_BASIS: Tuple[str, ...] = (
@@ -582,18 +567,9 @@ SO3_PRINTED_BASIS: Tuple[str, ...] = (
 
 
 def build_o3() -> CaseSpec:
-    r = _matrix_ring("xyz", 3)
+    case, fiber = _o3_frame("o3-I2", "O", "orthogonal triples in three-space: second fixed point")
+    r = case.ring
     P = lambda t: parse_poly(t, r)
-    quadrics = _o3_quadrics(r)
-    case = CaseSpec(
-        name="o3-I2",
-        situation="O",
-        params=(3, 3),
-        ring=r,
-        title="orthogonal triples in three-space: second fixed point",
-        fft=quadrics,
-    )
-    case.ideals["J"] = Ideal(r, quadrics)
     i2_texts = [
         "y1^2 + y2^2 + y3^2",
         "z1^2 + z2^2 + z3^2",
@@ -613,10 +589,7 @@ def build_o3() -> CaseSpec:
         "y3*x2*y3 - y3*x3*y2",
     ]
     case.ideals["I2"] = Ideal(r, [P(t) for t in i2_texts])
-    fiber = [q for q in quadrics]
-    for i in (0, 1, 2):
-        fiber[i] = fiber[i] - r.one()
-    case.ideals["L"] = Ideal(r, fiber)
+    case.ideals["L"] = fiber
     case.ideals["L-printed-basis"] = Ideal(r, [P(t) for t in O3_PRINTED_BASIS])
     case.degenerations = [
         DegenerationData(
@@ -723,23 +696,15 @@ def build_o3() -> CaseSpec:
 
 
 def build_so3(which: str) -> CaseSpec:
-    r = _matrix_ring("xyz", 3)
+    case, fiber = _o3_frame(
+        f"so3-{which}", "SO", f"special orthogonal triples: fixed point {which}"
+    )
+    r = case.ring
     P = lambda t: parse_poly(t, r)
-    quadrics = _o3_quadrics(r)
-    xx, yy, zz, xy, xz, yz = quadrics
+    xx, yy, zz, xy, xz, yz = case.fft[:6]
     # f5 is the y.z pairing, f6 the x.z pairing, matching the relation list
     f = [("f1", xx), ("f2", yy), ("f3", zz), ("f4", xy), ("f5", yz), ("f6", xz)]
     named = dict(f)
-    det = _det3(r)
-    case = CaseSpec(
-        name=f"so3-{which}",
-        situation="SO",
-        params=(3, 3),
-        ring=r,
-        title=f"special orthogonal triples: fixed point {which}",
-        fft=quadrics + [det],
-    )
-    case.ideals["J"] = Ideal(r, quadrics + [det])
     case.ideals["I1"] = Ideal(
         r, [P("x1"), P("x2"), P("x3"), named["f2"], named["f3"], named["f5"]]
     )
@@ -752,11 +717,7 @@ def build_so3(which: str) -> CaseSpec:
         "z2*y3 - z3*y2", "z1*y3 - z3*y1", "z1*y2 - z2*y1",
     ]
     case.ideals["I2"] = Ideal(r, [P(t) for t in i2])
-    fiber = [q for q in quadrics]
-    for i in (0, 1, 2):
-        fiber[i] = fiber[i] - r.one()
-    fiber.append(det - r.one())
-    case.ideals["L"] = Ideal(r, fiber)
+    case.ideals["L"] = fiber
     case.ideals["L-printed-basis"] = Ideal(r, [P(t) for t in SO3_PRINTED_BASIS])
     if which == "I1":
         case.degenerations = [
@@ -767,8 +728,8 @@ def build_so3(which: str) -> CaseSpec:
                 citation="one-parameter degeneration with column weights (-3,-1,-1)",
             )
         ]
-        quotient = case.quotient_ring = ring("y1", "y2", "y3", "z1", "z2", "z3")
-        case.quotient_ideals["J1"] = Ideal(
+        quotient = ring("y1", "y2", "y3", "z1", "z2", "z3")
+        case.ideals["J1"] = Ideal(
             quotient, [named[n].map_ring(quotient) for n in ("f2", "f3", "f5")]
         )
         case.expected["hilbert-J1"] = Expected(
@@ -934,12 +895,8 @@ def build_sp4() -> CaseSpec:
 
 
 def build_sl(n: int, nprime: int) -> CaseSpec:
-    r, _ = _grid_ring(("w", n, nprime))
-    from itertools import combinations
-
-    fft = []
-    for cols in combinations(range(1, nprime + 1), n):
-        fft.append(_minor(r, "w", list(range(1, n + 1)), list(cols)))
+    r, (w,) = _grid_ring(("w", n, nprime))
+    fft = [_det([[row[j] for j in cols] for row in w]) for cols in combinations(range(nprime), n)]
     case = CaseSpec(
         name=f"sl-{n}-{nprime}",
         situation="SL",
@@ -957,26 +914,6 @@ def build_sl(n: int, nprime: int) -> CaseSpec:
         check("flatness-locus", expected="flatness-locus"),
     ]
     return case
-
-
-def _minor(r: Ring, letter: str, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
-    """Determinant of the square submatrix with the given rows/columns."""
-    from itertools import permutations
-
-    k = len(rows)
-    out = r.zero()
-    for perm in permutations(range(k)):
-        sign = 1
-        seen = list(perm)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = r.one() * sign
-        for i in range(k):
-            term = term * r.var(f"{letter}{rows[i]}{cols[perm[i]]}")
-        out = out + term
-    return out
 
 
 def build_glsym(n: int, d: int, moment_krull: bool = True) -> CaseSpec:
@@ -1056,14 +993,8 @@ def quotient_image(case: CaseSpec, point) -> object:
 
 
 def _sl_minors(w: Matrix) -> List[Fraction]:
-    from itertools import combinations
-
-    n = len(w)
-    nprime = len(w[0])
-    out = []
-    for cols in combinations(range(nprime), n):
-        out.append(det([[w[i][j] for j in cols] for i in range(n)]))
-    return out
+    return [det([[row[j] for j in cols] for row in w])
+            for cols in combinations(range(len(w[0])), len(w))]
 
 
 # --------------------------------------------------------------------------

@@ -729,11 +729,11 @@ def normal_form(p: Polynomial, ideal: Ideal, order: MonomialOrder = GREVLEX) -> 
     return Polynomial(p.ring, eng.terms(r, s))
 
 
-def ideal_equal(a: Ideal, b: Ideal, order: MonomialOrder = GREVLEX) -> bool:
+def ideal_equal(a: Ideal, b: Ideal) -> bool:
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
-    return all(b.contains(g, order) for g in a.generators) and all(
-        a.contains(g, order) for g in b.generators
+    return all(b.contains(g) for g in a.generators) and all(
+        a.contains(g) for g in b.generators
     )
 
 
@@ -880,7 +880,7 @@ def affine_hilbert_function(ideal: Ideal, d: int) -> int:
     return _counts_from_numerator(num, ideal.ring.arity + 1, d)[d]
 
 
-def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
+def krull_dim(ideal: Ideal) -> int:
     """Dimension of the quotient ring via the leading-term ideal.
 
     The Hilbert series of the leading-term ideal is N(t)/(1-t)^n, and
@@ -891,7 +891,7 @@ def krull_dim(ideal: Ideal, order: MonomialOrder = GREVLEX) -> int:
     n = ideal.ring.arity
     if ideal.is_zero():
         return n
-    num = _hilbert_numerator(ideal._leads(order))
+    num = _hilbert_numerator(ideal._leads(GREVLEX))
     if not any(num):  # the leading monomial 1: a zero Hilbert series
         raise ValueError("unit ideal has no Krull dimension")
     m = 0

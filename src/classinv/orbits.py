@@ -311,37 +311,30 @@ def flatness_locus(situation: str, params: Sequence[int]) -> List[int]:
     """Indices of the quotient strata over which the quotient map is flat.
 
     Strata are indexed 0..N with N = `max_rank`; the returned list is
-    the flat locus, e.g. list(range(N+1)) means flat everywhere.
+    the flat locus, e.g. list(range(N+1)) means flat everywhere.  GL,
+    O/SO and Sp share one rule.  With (a, b, lo) = (max(n1, n2), n,
+    n1 + n2 - n - 1) for GL, (n', n, 2n' - n - 1) for O/SO and
+    (n', n, n' - n/2 - 1) for Sp, the locus is max(lo, 0)..N when a < b,
+    the last two strata when a = b, and N alone otherwise.
     """
     N = max_rank(situation, params)
+    if situation == "SL":
+        n, nprime = params
+        if nprime <= n or n == 1:
+            return [0, 1] if nprime >= n else [0]
+        return [1]
     if situation == "GL":
         n, n1, n2 = params
-        if n > max(n1, n2):
-            lo = max(n1 + n2 - n - 1, 0)
-            return list(range(lo, N + 1))
-        if n == max(n1, n2):
-            return [i for i in (N - 1, N) if i >= 0]
-        return [N]
-    if situation in ("O", "SO"):
+        a, b, lo = max(n1, n2), n, n1 + n2 - n - 1
+    else:
         n, nprime = params
-        if nprime < n:
-            lo = max(2 * nprime - n - 1, 0)
-            return list(range(lo, N + 1))
-        if nprime == n:
-            return [i for i in (N - 1, N) if i >= 0]
-        return [N]
-    if situation == "Sp":
-        n, nprime = params
-        if nprime < n:
-            lo = max(nprime - n // 2 - 1, 0)
-            return list(range(lo, N + 1))
-        if nprime == n:
-            return [i for i in (N - 1, N) if i >= 0]
-        return [N]
-    n, nprime = params
-    if nprime <= n or n == 1:
-        return [0, 1] if nprime >= n else [0]
-    return [1]
+        a, b = nprime, n
+        lo = nprime - n // 2 - 1 if situation == "Sp" else 2 * nprime - n - 1
+    if a < b:
+        return list(range(max(lo, 0), N + 1))
+    if a == b:
+        return [i for i in (N - 1, N) if i >= 0]
+    return [N]
 
 
 def flat_everywhere(situation: str, params: Sequence[int]) -> bool:

@@ -109,8 +109,9 @@ def _prod(xs: Iterable[Fraction]) -> Fraction:
 def weyl_dim(label) -> int:
     """Dimension of the irreducible with the given (dominant) label.
 
-    Accepts a Weight or an IrrLabel; sign tags are ignored.  Implemented
-    per family by the classical product formulas.
+    Accepts a Weight or an IrrLabel; sign tags are ignored.  Weyl's
+    product over the positive roots (Fulton-Harris, Representation
+    Theory, 24.1): one formula for GL/SL, one for types B, C and D.
     """
     w = label.weight if isinstance(label, IrrLabel) else label
     fam, n, r = w.group.family, w.group.n, w.coords
@@ -122,32 +123,22 @@ def weyl_dim(label) -> int:
             for i in range(n)
             for j in range(i + 1, n)
         )
-    elif fam == "Sp":
+    else:
+        # types B (O/SO, n odd), C (Sp) and D (O/SO, n even): with
+        # rho_i = m - i - s, s = 1/2, 0, 1, and l = r + rho, the product of
+        # (l_i^2 - l_j^2)/(rho_i^2 - rho_j^2) over i < j, times l_i/rho_i
+        # for B and C.  Twice rho and l are integers; the ratios are the same.
         m = n // 2
-        l = [r[i] + m - i for i in range(m)]
-        rho = [m - i for i in range(m)]
+        s2 = 0 if fam == "Sp" else 2 - n % 2  # twice s
+        rho = [2 * (m - i) - s2 for i in range(m)]
+        l = [2 * r[i] + rho[i] for i in range(m)]
         d = _prod(
             Fraction(l[i] ** 2 - l[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
             for i in range(m)
             for j in range(i + 1, m)
-        ) * _prod(Fraction(l[i], rho[i]) for i in range(m))
-    elif n % 2 == 1:  # SO/O odd: type B with half-integral rho
-        m = n // 2
-        l = [Fraction(2 * r[i] + n - 2 * (i + 1), 2) for i in range(m)]
-        rho = [Fraction(n - 2 * (i + 1), 2) for i in range(m)]
-        d = _prod(
-            Fraction(l[i] ** 2 - l[j] ** 2) / Fraction(rho[i] ** 2 - rho[j] ** 2)
-            for i in range(m)
-            for j in range(i + 1, m)
-        ) * _prod(l[i] / rho[i] for i in range(m))
-    else:  # SO/O even: type D
-        m = n // 2
-        l = [r[i] + m - 1 - i for i in range(m)]
-        rho = [m - 1 - i for i in range(m)]
-        d = Fraction(1)
-        for i in range(m):
-            for j in range(i + 1, m):
-                d *= Fraction(l[i] ** 2 - l[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
+        )
+        if s2 < 2:
+            d *= _prod(Fraction(l[i], rho[i]) for i in range(m))
     if d.denominator != 1 or d <= 0:
         raise ArithmeticError(f"bad dimension {d} for {w}")
     return int(d)

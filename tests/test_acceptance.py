@@ -80,7 +80,7 @@ def test_criterion_03_o3_hilbert():
 
 def test_criterion_04_so3_quotient_hilbert():
     case = get_case("so3-I1")
-    r = case.quotient_ring
+    r = case.ideal("J1").ring
     J1 = Ideal(
         r,
         [

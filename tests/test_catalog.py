@@ -28,7 +28,7 @@ def test_generators_roundtrip_through_text():
         case = get_case(name)
         for ideal in case.ideals.values():
             for g in ideal.generators:
-                assert parse_poly(serialize(g), case.ring) == g
+                assert parse_poly(serialize(g), ideal.ring) == g
 
 
 def test_fft_counts():
@@ -185,7 +185,7 @@ def _dump_coeffs(named):
 
 def dump_catalog() -> str:
     """Every case's declared data as text: the ring, `fft`, the generators of
-    each ideal and quotient ideal in order, components, degenerations,
+    each ideal in order, components, degenerations,
     tangent and independence data, the `expected` keys with their
     citations, and the checks.  Expected values are left out."""
     lines = []
@@ -194,10 +194,9 @@ def dump_catalog() -> str:
         lines.append(f"case {case.name} {case.situation} {case.params} {case.title}")
         lines.append(f"  ring {' '.join(case.ring.variables)}")
         lines += [f"  fft {serialize(g)}" for g in case.fft]
-        for table in (case.ideals, case.quotient_ideals):
-            for which, ideal in table.items():
-                lines.append(f"  ideal {which} in {' '.join(ideal.ring.variables)}")
-                lines += [f"    {serialize(g)}" for g in ideal.generators]
+        for which, ideal in case.ideals.items():
+            lines.append(f"  ideal {which} in {' '.join(ideal.ring.variables)}")
+            lines += [f"    {serialize(g)}" for g in ideal.generators]
         for which, ideal in case.components:
             lines.append(f"  component {which}")
             lines += [f"    {serialize(g)}" for g in ideal.generators]

@@ -253,6 +253,30 @@ class TestDims:
         assert flatness_locus("SL", (2, 3)) == [1]
         assert flat_everywhere("SL", (3, 3))
 
+    # the first flat stratum of each parameter tuple in lexicographic order,
+    # recorded from the per-situation formulas before they became one rule;
+    # the locus runs from there to the top stratum
+    FLAT_FROM = {
+        ("GL", 6): "011111111111111111111111111111111111001111012222122222122222122222"
+                   "122222000111001222012333123333123333123333000011000122001233012344"
+                   "123444123444000001000012000123001234012345123455000000000001000012"
+                   "000123001234012345",
+        ("O", 8): "0111111101222222002333330013444400024555000135660000246700001357",
+        ("SO", 8): "0111111101222222002333330013444400024555000135660000246700001357",
+        ("Sp", 8): "00111111000122220000123300000123",
+        ("SL", 8): "0000000000111111000111110000111100000111000000110000000100000000",
+    }
+
+    @pytest.mark.parametrize("situation, top", list(FLAT_FROM))
+    def test_flatness_locus_grid(self, situation, top):
+        arity = 3 if situation == "GL" else 2
+        grid = [ps for ps in product(range(1, top + 1), repeat=arity)
+                if situation != "Sp" or ps[0] % 2 == 0]
+        assert len(grid) == len(self.FLAT_FROM[situation, top])
+        for ps, start in zip(grid, self.FLAT_FROM[situation, top]):
+            want = list(range(int(start), max_rank(situation, ps) + 1))
+            assert flatness_locus(situation, ps) == want, ps
+
     def test_max_rank(self):
         assert max_rank("GL", (3, 2, 4)) == 2
         assert max_rank("O", (5, 3)) == max_rank("SO", (5, 3)) == 3

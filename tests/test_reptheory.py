@@ -17,6 +17,38 @@ from classinv.reptheory import (
     weyl_dim,
 )
 
+
+def positive_roots(family: str, n: int):
+    """The positive roots of B_m (SO(2m+1)), C_m (Sp(2m)) or D_m (SO(2m)) in
+    the epsilon basis: e_i - e_j and e_i + e_j for i < j, plus e_i for B and
+    2 e_i for C."""
+    m = n // 2
+
+    def vec(pairs):
+        v = [0] * m
+        for i, c in pairs:
+            v[i] += c
+        return tuple(v)
+
+    roots = [vec([(i, 1), (j, s)]) for i in range(m) for j in range(i + 1, m) for s in (-1, 1)]
+    if family == "Sp":
+        roots += [vec([(i, 2)]) for i in range(m)]
+    elif n % 2:
+        roots += [vec([(i, 1)]) for i in range(m)]
+    return roots
+
+
+def root_product(coords, roots):
+    """Weyl's dimension formula: the product over the positive roots a of
+    (lambda + rho, a) / (rho, a), rho half the sum of the positive roots."""
+    rho = [Fraction(sum(a[i] for a in roots), 2) for i in range(len(coords))]
+    out = Fraction(1)
+    for a in roots:
+        out *= Fraction(sum((c + r) * x for c, r, x in zip(coords, rho, a)))
+        out /= sum(r * x for r, x in zip(rho, a))
+    return out
+
+
 GL2 = GroupType("GL", 2)
 GL3 = GroupType("GL", 3)
 SP4 = GroupType("Sp", 4)
@@ -67,6 +99,16 @@ class TestWeylDim:
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
             Weight(GL2, (0, 1))
+
+    @pytest.mark.parametrize(
+        "family, n", [("SO", n) for n in range(3, 9)] + [("Sp", n) for n in (2, 4, 6, 8)]
+    )
+    def test_types_b_c_d_against_explicit_roots(self, family, n):
+        group = GroupType(family, n)
+        roots = positive_roots(family, n)
+        for p in range(5):
+            for w in enumerate_dominant(group, p):
+                assert weyl_dim(w) == root_product(w.coords, roots), w
 
 
 class TestEnumerate:

@@ -1,16 +1,19 @@
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from classinv import checks, tangent
-from classinv.catalog import get_case
+from classinv import catalog, checks, tangent
+from classinv.catalog import Expected, get_case
 from classinv.groebner import Ideal, ideal_product, normal_form
 from classinv.poly import parse_poly
 from classinv.tangent import (
     check_generates,
     check_relation,
     evaluate_pairing,
+    minimal_generator_count,
     rank_lower_bound,
     relation_combination,
     tangent_bounds,
@@ -309,6 +312,49 @@ class TestBounds:
         assert rep.generates is True
         assert all(ok for _, ok in rep.relation_results)
         assert rep.rank == 5
+
+
+def _verdict(case, kind):
+    """The verdict of the case's declared check of the given kind."""
+    (spec,) = [spec for spec in case.checks if spec.kind == kind]
+    report = functools.cache(lambda: tangent_report(case))
+    _, _, run = checks.KINDS[kind](case, 6, report, **spec.args)
+    expected, computed = run()
+    return "pass" if expected == computed else "fail"
+
+
+class TestSelfComparisons:
+    """The tangent-dim and tangent-independence checks read their bounds off
+    computed quantities, not off the catalogued value they compare with."""
+
+    def test_so3_i1_minimal_generator_count(self):
+        case = get_case("so3-I1")
+        gens = list(case.ideal("I1").generators)
+        redundant = [q for _, q in case.expected["redundant-members"].value]
+        assert minimal_generator_count(gens + redundant) == 6
+        y1z2 = parse_poly("y1*z2", case.ring)
+        assert minimal_generator_count(gens + redundant[:2] + [y1z2]) == 7
+        with pytest.raises(ValueError):
+            minimal_generator_count(gens + [parse_poly("x1 + 1", case.ring)])
+
+    def test_so3_i1_tangent_dim_fails_on_altered_data(self):
+        assert _verdict(catalog.build_so3("I1"), "tangent-dim") == "pass"
+        case = catalog.build_so3("I1")
+        case.expected["tangent-dim"] = Expected((5, 5), "altered")
+        assert _verdict(case, "tangent-dim") == "fail"
+        case = catalog.build_so3("I1")
+        members = case.expected["redundant-members"].value
+        y1z2 = parse_poly("y1*z2", case.ring)
+        case.expected["redundant-members"] = Expected(members[:2] + [("f6", y1z2)], "altered")
+        assert _verdict(case, "tangent-dim") == "fail"
+        assert tangent_report(case).details == []
+
+    def test_o3_tangent_independence_fails_on_altered_lower_bound(self):
+        assert _verdict(catalog.build_o3(), "tangent-independence") == "pass"
+        case = catalog.build_o3()
+        case.independence = dataclasses.replace(case.independence, bounds=(1, 99))
+        assert _verdict(case, "tangent-independence") == "fail"
+        assert tangent_report(case).bounds == (7, 99)
 
 
 class TestGl3Heavy:
