@@ -570,25 +570,17 @@ def build_o3() -> CaseSpec:
     case, fiber = _o3_frame("o3-I2", "O", "orthogonal triples in three-space: second fixed point")
     r = case.ring
     P = lambda t: parse_poly(t, r)
-    i2_texts = [
-        "y1^2 + y2^2 + y3^2",
-        "z1^2 + z2^2 + z3^2",
-        "x1^2 + x2^2 + x3^2",
-        "x2^2",
-        "x3^2",
-        "x1*x2",
-        "x2*x3",
-        "x1*x3",
-        "x1*y1 + x2*y2 + x3*y3",
-        "x1*z1 + x2*z2 + x3*z3",
-        "z1*y1 + z2*y2 + z3*y3",
-        "y3*x1*y2 - y3*x2*y1",
-        "y2*x1*y3 - y2*x3*y1",
-        "y3*x1*y3 - y3*x3*y1",
-        "y2*x2*y3 - y2*x3*y2",
-        "y3*x2*y3 - y3*x3*y2",
+    # I2's sixteen generators in the tangent table's row order, g1..g16;
+    # the Gram quadrics are the frame's
+    table_rows = [
+        *map(P, ("y3*x1*y2 - y3*x2*y1", "y2*x1*y3 - y2*x3*y1", "y3*x1*y3 - y3*x3*y1",
+                 "y2*x2*y3 - y2*x3*y2", "y3*x2*y3 - y3*x3*y2")),
+        *case.fft,  # x.x, y.y, z.z, x.y, x.z, y.z
+        *map(P, ("x2^2", "x3^2", "x1*x2", "x1*x3", "x2*x3")),
     ]
-    case.ideals["I2"] = Ideal(r, [P(t) for t in i2_texts])
+    # the ideal lists them in the displayed order
+    display = (7, 8, 6, 12, 13, 14, 16, 15, 9, 10, 11, 1, 2, 3, 4, 5)
+    case.ideals["I2"] = Ideal(r, [table_rows[k - 1] for k in display])
     case.ideals["L"] = fiber
     case.ideals["L-printed-basis"] = Ideal(r, [P(t) for t in O3_PRINTED_BASIS])
     case.degenerations = [
@@ -617,25 +609,7 @@ def build_o3() -> CaseSpec:
 
     # tangent data: value tuples of the displayed morphism family on the
     # sixteen generators (table row order), plus the seven combinations
-    table_rows = [
-        "y3*x1*y2 - y3*x2*y1",
-        "y2*x1*y3 - y2*x3*y1",
-        "y3*x1*y3 - y3*x3*y1",
-        "y2*x2*y3 - y2*x3*y2",
-        "y3*x2*y3 - y3*x3*y2",
-        "x1^2 + x2^2 + x3^2",
-        "y1^2 + y2^2 + y3^2",
-        "z1^2 + z2^2 + z3^2",
-        "x1*y1 + x2*y2 + x3*y3",
-        "x1*z1 + x2*z2 + x3*z3",
-        "y1*z1 + y2*z2 + y3*z3",
-        "x2^2",
-        "x3^2",
-        "x1*x2",
-        "x1*x3",
-        "x2*x3",
-    ]
-    gens = [(f"g{k+1}", P(t)) for k, t in enumerate(table_rows)]
+    gens = [(f"g{k+1}", g) for k, g in enumerate(table_rows)]
     phi_table: Dict[int, Dict[int, str]] = {
         1: {8: "1"},
         2: {1: "x2*y1 - x1*y2", 2: "-x1*y2", 3: "x3*y1 - 2*x1*y3", 4: "-x2*y2",
@@ -709,14 +683,13 @@ def build_so3(which: str) -> CaseSpec:
         r, [P("x1"), P("x2"), P("x3"), named["f2"], named["f3"], named["f5"]]
     )
     i2 = [
-        "x1^2 - x3^2", "x2^2", "x1*x2", "x2*x3", "x1*x3",
-        "x1^2 + x2^2 + x3^2", "y1^2 + y2^2 + y3^2", "z1^2 + z2^2 + z3^2",
-        "x1*y1 + x2*y2 + x3*y3", "x1*z1 + x2*z2 + x3*z3", "z1*y1 + z2*y2 + z3*y3",
-        "x2*y3 - x3*y2", "x1*y3 - x3*y1", "x1*y2 - x2*y1",
-        "x2*z3 - x3*z2", "x1*z3 - x3*z1", "x1*z2 - x2*z1",
-        "z2*y3 - z3*y2", "z1*y3 - z3*y1", "z1*y2 - z2*y1",
+        *map(P, ("x1^2 - x3^2", "x2^2", "x1*x2", "x2*x3", "x1*x3")),
+        xx, yy, zz, xy, xz, yz,
+        *map(P, ("x2*y3 - x3*y2", "x1*y3 - x3*y1", "x1*y2 - x2*y1",
+                 "x2*z3 - x3*z2", "x1*z3 - x3*z1", "x1*z2 - x2*z1",
+                 "z2*y3 - z3*y2", "z1*y3 - z3*y1", "z1*y2 - z2*y1")),
     ]
-    case.ideals["I2"] = Ideal(r, [P(t) for t in i2])
+    case.ideals["I2"] = Ideal(r, i2)
     case.ideals["L"] = fiber
     case.ideals["L-printed-basis"] = Ideal(r, [P(t) for t in SO3_PRINTED_BASIS])
     if which == "I1":

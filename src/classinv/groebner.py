@@ -62,6 +62,25 @@ for term what a run would give.  A weighted order counts as a term
 order on the ideal when no weight is positive or the ideal is
 homogeneous (`_well_ordered`); any other query starts a run.
 
+A new unbounded run under such a term order starts from the basis of
+the newest cone, not from the generators: it generates the same ideal,
+the reduced basis is unique, so the run ends at the same basis, term
+for term, and a basis that is already reduced under a nearby order
+leaves far fewer S-pairs (converting a known basis is the idea of the
+Groebner walk: Collart, Kalkbrener and Mall, "Converting bases with the
+Groebner walk", J. Symbolic Comput. 1997).  The rule is confined to
+unbounded runs under term orders.  A bounded run starts from the
+generators, so that it stays an exact prefix of a fresh run and its
+truncated basis is the one a fresh run gives.  Under an order that is no
+well-order on the ideal a run need not end, and what it gives can depend
+on where it starts, so it starts where it always has.
+
+Equality of two ideals that both hold their complete reduced grevlex
+basis is equality of those bases, since the reduced basis of an ideal
+under a term order is unique (Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, ch. 2 sec. 7, Prop. 6); otherwise
+`ideal_equal` tests each side's generators for membership in the other.
+
 All reduction is integer pseudo-division in `_Engine`: `top_reduce`
 for the Buchberger loop and the certificate, `remainder` for everything
 else.  `remainder` reduces every term and tracks the multiplier mu, so
@@ -540,7 +559,11 @@ class Ideal:
     order on the ideal, with its leading monomials.  The first whose
     leading monomials all stay leading under the query's term order is
     the query's reduced basis (see the module docstring), and is kept in
-    `_complete` sorted for that order.
+    `_complete` sorted for that order.  When none is, a new run of a term
+    order on the ideal starts from the newest cone's basis (`_run`); a
+    bounded run, or one under an order that is no well-order here, starts
+    from the generators.  Two ideals that both hold a complete grevlex
+    basis are equal exactly when those bases are (`ideal_equal`).
 
     Caches, one line each; instances are otherwise immutable:
     - `_gb`: per (order, bound), the reduced basis a query got;
@@ -600,7 +623,7 @@ class Ideal:
                 return self._gb[(sig, min(usable))]
         basis = self._complete.get(sig) if degree_bound is not None else self._known_basis(order)
         if basis is None:
-            run = self._runs.pop(sig, None) or _Run(self.ring, self.generators, order)
+            run = self._run(order, degree_bound)
             if run.advance(degree_bound):
                 basis = self._completed(order, run.reduced())
             else:
@@ -608,6 +631,18 @@ class Ideal:
                 basis = run.reduced()
         self._gb[(sig, degree_bound)] = basis
         return basis
+
+    def _run(self, order: MonomialOrder, degree_bound: Optional[int]) -> _Run:
+        """The run of `order` that a bounded query left, else a new one.
+        A new unbounded run under a term order on the ideal starts from the
+        newest cone's basis; any other starts from the generators."""
+        run = self._runs.pop(_order_sig(order), None)
+        if run is not None:
+            return run
+        seed = self.generators
+        if degree_bound is None and self._cones and _well_ordered(self, order):
+            seed = self._cones[-1][1]
+        return _Run(self.ring, seed, order)
 
     def _completed(self, order: MonomialOrder, basis: List[Polynomial]) -> List[Polynomial]:
         """Keep `basis` as the complete reduced basis under `order`, and as
@@ -655,7 +690,7 @@ class Ideal:
         basis = self._known_basis(order)
         if basis is not None:
             return [_pack(g.leading_monomial(order)) for g in basis]
-        run = self._runs.pop(sig, None) or _Run(self.ring, self.generators, order)
+        run = self._run(order, None)
         run.advance(None)
         # kept for a later basis query, which builds an index of its own
         run.index._memo.clear()
@@ -730,8 +765,14 @@ def normal_form(p: Polynomial, ideal: Ideal, order: MonomialOrder = GREVLEX) -> 
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
+    """Whether a and b are the same ideal: their complete reduced grevlex
+    bases are equal if both hold one, else each side's generators lie in
+    the other; no basis is computed only to compare."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
+    sig = _order_sig(GREVLEX)
+    if sig in a._complete and sig in b._complete:
+        return a._complete[sig] == b._complete[sig]
     return all(b.contains(g) for g in a.generators) and all(
         a.contains(g) for g in b.generators
     )

@@ -300,23 +300,30 @@ def _reference_digest(basis):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _verdicts(case, limit):
+    return {
+        name: ideal_equal(limit, ideal)
+        for name, ideal in case.ideals.items()
+        if name.startswith("I") and ideal.is_homogeneous()
+    }
+
+
 def test_cone_hits_reproduce_recorded_limits(monkeypatch):
-    # read-only: limits and verdicts recorded for every negative vector
-    # before the lookup existed; 24 of these 36 vectors are cone hits
+    # read-only: the limits and verdicts of all 648 negative vectors,
+    # recorded before the cone lookup, the run-start rule and the held-basis
+    # equality existed; on one warm copy per family the vectors fall into
+    # 6 Groebner cones each, so 18 of them start a run
     reference = json.loads((ROOT / "perfbench" / "reference" / "degenerate.json").read_text())
+    assert len(reference) == 648
     runs = count_runs(monkeypatch)
     sources = {f: Ideal(get_case(f).ring, get_case(f).ideal("L").generators) for f in FAMILIES}
-    for family, cw in _negative_vectors(7, 12):
+    for key, entry in reference.items():
+        family, cw = key.split()
         case = get_case(family)
-        limit = flat_limit(sources[family], _weights(case, cw))
-        equal = {
-            name: ideal_equal(limit, ideal)
-            for name, ideal in case.ideals.items()
-            if name.startswith("I") and ideal.is_homogeneous()
-        }
-        entry = reference[f"{family} {','.join(map(str, cw))}"]
-        assert entry == {"basis": _reference_digest(limit.groebner_basis()), "equal": equal}, cw
-    assert sum(o.kind == "weighted" for o in runs) == 12
+        limit = flat_limit(sources[family], _weights(case, [int(c) for c in cw.split(",")]))
+        digest = _reference_digest(limit.groebner_basis())
+        assert entry == {"basis": digest, "equal": _verdicts(case, limit)}, key
+    assert sum(o.kind == "weighted" for o in runs) == 18
 
 
 def test_sweep_run_count_pinned(monkeypatch):
@@ -342,3 +349,34 @@ def test_positive_weight_on_inhomogeneous_input_is_never_served_from_a_cone(monk
             certified_basis(source, w)
         assert len(source._cones) == 1
     assert len(runs) == 4
+
+
+def _equality_pairs():
+    o3 = get_case("o3-I2")
+    yield "L-printed-basis", o3.ideal("L"), o3.ideal("L-printed-basis"), True
+    for cw, equal in (((-6, -6, -6), False), ((-6, -5, -4), True)):
+        limit = flat_limit(Ideal(o3.ring, o3.ideal("L").generators), _weights(o3, cw))
+        yield _label("limit", cw), limit, o3.ideal("I2"), equal
+
+
+@pytest.mark.parametrize(
+    "left, right, equal", [pytest.param(*p[1:], id=p[0]) for p in _equality_pairs()]
+)
+def test_equality_from_held_bases_matches_membership(left, right, equal, monkeypatch):
+    # the same verdict whether both sides hold their reduced grevlex basis
+    # (compared, no membership test), one side does, or neither (membership)
+    tests = []
+    contains = Ideal.contains
+    monkeypatch.setattr(Ideal, "contains", lambda *a: tests.append(1) or contains(*a))
+
+    def fresh(ideal, held):
+        copy = Ideal(ideal.ring, ideal.generators)
+        if held:
+            copy.groebner_basis()
+        return copy
+
+    for held in ((True, True), (True, False), (False, True), (False, False)):
+        a, b = fresh(left, held[0]), fresh(right, held[1])
+        tests.clear()
+        assert ideal_equal(a, b) is equal, held
+        assert bool(tests) is not all(held), held

@@ -634,6 +634,64 @@ def test_grevlex_after_a_weighted_basis_hits_only_when_leading_terms_agree(w, hi
     assert served == [serialize(g) for g in fresh(I).groebner_basis(GREVLEX)]
 
 
+def record_seeds(monkeypatch):
+    """A list that gets the generators each new Buchberger run starts from."""
+    import classinv.groebner as gb
+
+    seeds = []
+    real = gb._Run.__init__
+
+    def init(run, r, gens, order):
+        seeds.append(gens)
+        real(run, r, gens, order)
+
+    monkeypatch.setattr(gb._Run, "__init__", init)
+    return seeds
+
+
+def test_bounded_run_starts_from_the_generators(monkeypatch):
+    seeds = record_seeds(monkeypatch)
+    I = make_ideal(ring("x", "y", "z"), "x^2 - y*z", "x*y - z^2", "y^3 - x*z^2")
+    I.groebner_basis(LEX)
+    assert I._cones
+    I.groebner_basis(GREVLEX, degree_bound=2)
+    assert seeds[-1] is I.generators
+
+
+def test_order_that_is_no_well_order_starts_from_the_generators(monkeypatch):
+    # a positive weight on inhomogeneous input: the result can depend on
+    # the seed, so the run never starts from a cone
+    seeds = record_seeds(monkeypatch)
+    I = make_ideal(ring("x", "y", "z"), "x^2 + y*z - 1", "x*y - z^2")
+    I.groebner_basis()
+    assert I._cones
+    I.groebner_basis(weighted_order([1, -1, -1]))
+    assert seeds[-1] is I.generators
+
+
+def test_unbounded_term_order_run_starts_from_the_newest_cone(monkeypatch):
+    # each order here misses every cone the ideal holds; its run starts
+    # from the newest one and ends at the basis a cold run gives
+    seeds = record_seeds(monkeypatch)
+    gens = ("x^2 - y", "y*z^2 - x + 1", "z^3 - x*y")
+    I = make_ideal(ring("x", "y", "z"), *gens)
+    I.groebner_basis()
+    for order in (weighted_order([-3, -1, -1]), weighted_order([-5, -1, -2]), LEX):
+        newest = I._cones[-1][1]
+        served = [serialize(g) for g in I.groebner_basis(order)]
+        assert seeds[-1] is newest
+        cold = fresh(I)
+        assert served == [serialize(g) for g in cold.groebner_basis(order)]
+        assert seeds[-1] is cold.generators
+    # a complete count that misses starts its run from the newest cone too
+    J = make_ideal(ring("x", "y", "z"), *gens)
+    J.groebner_basis(weighted_order([-3, -1, -1]))
+    newest = J._cones[-1][1]
+    counts = [affine_hilbert_function(J, d) for d in range(8)]
+    assert seeds[-1] is newest
+    assert counts == [affine_hilbert_function(fresh(J), d) for d in range(8)]
+
+
 def packed_minimal(monomials, arity):
     """The minimal monomials, packed, as the library's engine orders them."""
     eng = _Engine(ring(*[f"x{i}" for i in range(arity)]), GREVLEX)
