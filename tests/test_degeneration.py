@@ -300,14 +300,6 @@ def _reference_digest(basis):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _verdicts(case, limit):
-    return {
-        name: ideal_equal(limit, ideal)
-        for name, ideal in case.ideals.items()
-        if name.startswith("I") and ideal.is_homogeneous()
-    }
-
-
 def test_cone_hits_reproduce_recorded_limits(monkeypatch):
     # read-only: the limits and verdicts of all 648 negative vectors,
     # recorded before the cone lookup, the run-start rule and the held-basis
@@ -321,8 +313,12 @@ def test_cone_hits_reproduce_recorded_limits(monkeypatch):
         family, cw = key.split()
         case = get_case(family)
         limit = flat_limit(sources[family], _weights(case, [int(c) for c in cw.split(",")]))
-        digest = _reference_digest(limit.groebner_basis())
-        assert entry == {"basis": digest, "equal": _verdicts(case, limit)}, key
+        equal = {
+            name: ideal_equal(limit, ideal)
+            for name, ideal in case.ideals.items()
+            if name.startswith("I") and ideal.is_homogeneous()
+        }
+        assert entry == {"basis": _reference_digest(limit.groebner_basis()), "equal": equal}, key
     assert sum(o.kind == "weighted" for o in runs) == 18
 
 
