@@ -24,6 +24,7 @@ the limit computes its own.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .groebner import Ideal, _well_ordered, _with_reduced_basis
@@ -84,20 +85,30 @@ def family_member(ideal: Ideal, w: Sequence[int], t: Fraction) -> Ideal:
     (which give the same member), because the member's own Buchberger run
     is cheaper from it: with scaled generators a `degenerate-sweep` sample
     of `perfbench` (seed 7) took about 40% more CPU time.
+
+    The scaling runs on integers.  With t = a/b and K the largest weight
+    offset of g, a term c x^m of offset k becomes
+    c.numerator * a^k * b^(K-k) / (c.denominator * b^K), one Fraction
+    per coefficient, equal to c * t^k.
     """
     t = Fraction(t)
     if t == 0:
         raise ValueError("use flat_limit for the zero fiber")
+    a, b = t.numerator, t.denominator
     gb = certified_basis(ideal, w)
     gens = []
     for g in gb:
-        weights = {m: sum(wi * e for wi, e in zip(w, m)) for m in g.terms}
+        weights = {m: sum(map(mul, w, m)) for m in g.terms}
         mu = min(weights.values())
-        gens.append(
-            Polynomial(
-                g.ring, {m: c * t ** (weights[m] - mu) for m, c in g.terms.items()}
-            )
-        )
+        top = max(weights.values()) - mu
+        scale = b ** top
+        terms = {}
+        for m, c in g.terms.items():
+            k = weights[m] - mu
+            n = c.numerator * a ** k * b ** (top - k)
+            d = c.denominator * scale
+            terms[m] = Fraction(n) if d == 1 else Fraction(n, d)
+        gens.append(Polynomial(g.ring, terms))
     return Ideal(ideal.ring, gens)
 
 

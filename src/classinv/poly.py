@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -80,11 +81,6 @@ def ring(*names: str) -> Ring:
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 class MonomialOrder:
@@ -343,7 +339,7 @@ def initial_form(p: Polynomial, w: Sequence[int]) -> Polynomial:
         raise ValueError("weight vector has wrong length")
     if p.is_zero():
         return p
-    weights = {m: sum(wi * ei for wi, ei in zip(w, m)) for m in p.terms}
+    weights = {m: sum(map(mul, w, m)) for m in p.terms}
     mw = min(weights.values())
     return Polynomial(p.ring, {m: c for m, c in p.terms.items() if weights[m] == mw})
 
@@ -433,13 +429,9 @@ def parse_poly(text: str, ring_: Ring) -> Polynomial:
 
 
 def _format_monomial(m: Monomial, ring_: Ring) -> str:
-    parts = []
-    for name, e in zip(ring_.variables, m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(ring_.variables, m) if e
+    )
 
 
 def serialize(p: Polynomial, order: MonomialOrder = GREVLEX) -> str:
@@ -452,14 +444,18 @@ def serialize(p: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     chunks: List[str] = []
     for m, c in p.iter_terms(order):
         mono = _format_monomial(m, p.ring)
-        neg = c < 0
-        a = -c if neg else c
-        if not mono:
-            body = str(a)
-        elif a == 1:
+        num, den = c.numerator, c.denominator
+        neg = num < 0
+        if neg:
+            num = -num
+        if den != 1:
+            body = f"{num}/{den}*{mono}" if mono else f"{num}/{den}"
+        elif not mono:
+            body = str(num)
+        elif num == 1:
             body = mono
         else:
-            body = f"{a}*{mono}"
+            body = f"{num}*{mono}"
         if not chunks:
             chunks.append(("-" if neg else "") + body)
         else:

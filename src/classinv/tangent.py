@@ -165,11 +165,6 @@ class TangentReport:
     details: List[str]
 
 
-def tangent_bounds(case_or_name) -> Tuple[int, int]:
-    """The concluded (lower, upper) bounds on the tangent dimension."""
-    return tangent_report(case_or_name).bounds
-
-
 def tangent_report(case_or_name) -> TangentReport:
     case = case_or_name if isinstance(case_or_name, CaseSpec) else get_case(case_or_name)
     details: List[str] = []

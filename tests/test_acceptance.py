@@ -129,9 +129,9 @@ def test_criterion_07_tangent_suite():
         ok = ok and all(passed for _, passed in rep.relation_results)
         ok = ok and rep.rank >= want
         ok = ok and rep.bounds == bounds[name]
-    ok = ok and tangent.tangent_bounds("o3-I2") == (7, 8)
+    ok = ok and tangent.tangent_report("o3-I2").bounds == (7, 8)
     ok = ok and tangent.tangent_report("o3-I2").rank == 7
-    ok = ok and tangent.tangent_bounds("so3-I1") == (6, 6)
+    ok = ok and tangent.tangent_report("so3-I1").bounds == (6, 6)
     verdict(7, ok, "relations, ranks, and concluded tangent dimensions")
 
 

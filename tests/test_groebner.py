@@ -27,12 +27,16 @@ from classinv.groebner import (
 from classinv.poly import (
     GREVLEX,
     LEX,
-    monomial_divides,
     parse_poly,
     ring,
     serialize,
     weighted_order,
 )
+
+
+def monomial_divides(a, b):
+    """True iff x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def P(text, r):

@@ -21,7 +21,6 @@ from classinv.groebner import (
 from classinv.poly import (
     GREVLEX,
     LEX,
-    monomial_divides,
     parse_poly,
     ring,
     serialize,
@@ -29,6 +28,11 @@ from classinv.poly import (
 )
 
 MAX_EXP = 127
+
+
+def monomial_divides(a, b):
+    """True iff x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def order_cases():

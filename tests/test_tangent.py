@@ -16,7 +16,6 @@ from classinv.tangent import (
     minimal_generator_count,
     rank_lower_bound,
     relation_combination,
-    tangent_bounds,
     tangent_report,
     value_tuple_rank,
 )
@@ -296,12 +295,12 @@ class TestRanks:
 
 class TestBounds:
     def test_concluded_dimensions(self):
-        assert tangent_bounds("gl2") == (4, 4)
-        assert tangent_bounds("o2") == (3, 3)
-        assert tangent_bounds("sp4") == (6, 6)
-        assert tangent_bounds("so3-I2") == (8, 8)
-        assert tangent_bounds("so3-I1") == (6, 6)
-        assert tangent_bounds("o3-I2") == (7, 8)
+        assert tangent_report("gl2").bounds == (4, 4)
+        assert tangent_report("o2").bounds == (3, 3)
+        assert tangent_report("sp4").bounds == (6, 6)
+        assert tangent_report("so3-I2").bounds == (8, 8)
+        assert tangent_report("so3-I1").bounds == (6, 6)
+        assert tangent_report("o3-I2").bounds == (7, 8)
 
     def test_o3_independence_rank(self):
         rep = tangent_report("o3-I2")
@@ -363,7 +362,7 @@ class TestGl3Heavy:
         ideal = case.ideal("I")
         got = rank_lower_bound(case.tangent.morphisms, case.tangent.relations, ideal)
         assert got == 17
-        assert tangent_bounds("gl3") == (12, 12)
+        assert tangent_report("gl3").bounds == (12, 12)
 
     def test_gl3_all_nineteen_morphisms_stay_at_seventeen(self):
         # adding the two remaining natural morphisms cannot exceed the
