@@ -446,16 +446,13 @@ def serialize(p: Polynomial, order: MonomialOrder = GREVLEX) -> str:
         mono = _format_monomial(m, p.ring)
         num, den = c.numerator, c.denominator
         neg = num < 0
-        if neg:
-            num = -num
-        if den != 1:
-            body = f"{num}/{den}*{mono}" if mono else f"{num}/{den}"
-        elif not mono:
-            body = str(num)
-        elif num == 1:
+        a = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if not mono:
+            body = a
+        elif a == "1":
             body = mono
         else:
-            body = f"{num}*{mono}"
+            body = f"{a}*{mono}"
         if not chunks:
             chunks.append(("-" if neg else "") + body)
         else:
