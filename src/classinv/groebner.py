@@ -106,7 +106,6 @@ front, and runs take the same steps as without it.
 from __future__ import annotations
 
 import heapq
-import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -421,27 +420,21 @@ class _Engine:
         return out
 
 
-_ENGINES = weakref.WeakValueDictionary()  # (ring, order kind) -> engine in use
+_ENGINES: Dict[tuple, _Engine] = {}  # (ring, order kind) -> engine
 
 
 def _engine(ring: Ring, order: MonomialOrder) -> _Engine:
     """The engine of `ring` and `order`: for lex and grevlex one per ring
-    while a run or an ideal holds it, so its runs and normal forms share
-    its key and degree memos, which go with its last holder.  A weighted
-    order, which a weight sweep rarely repeats, gets a new one.
-
-    In practice a long-lived holder keeps the engine: in a seed-7
-    `degenerate-sweep` sample the grevlex engine of the o3 ring lives
-    because o3-I2's catalogued `I2` holds it in its normal-form index
-    (`Ideal._packed`), built for the membership tests of `ideal_equal`.
-    With `I2`'s grevlex basis completed after set-up, equality reads held
-    bases, no index is built, and the sweep made 40 grevlex engines
-    instead of 1, one per o3-I2 vector, each refilling its key and degree
-    memos."""
+    for the whole process, so all its runs and normal forms share its key
+    and degree memos.  A weighted order, which a weight sweep rarely
+    repeats, gets a new one."""
     if order.kind == "weighted":
         return _Engine(ring, order)
     sig = (ring, order.kind)
-    return _ENGINES.get(sig) or _ENGINES.setdefault(sig, _Engine(ring, order))
+    eng = _ENGINES.get(sig)
+    if eng is None:
+        eng = _ENGINES[sig] = _Engine(ring, order)
+    return eng
 
 
 class _Run:
@@ -939,6 +932,8 @@ def affine_hilbert_function(ideal: Ideal, d: int) -> int:
     total degree.  Used as the flatness witness for the torus families.
     Every d reads its count off the one grevlex numerator of the ideal.
     """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     num = _hilbert_numerator(ideal._leads(GREVLEX))
     return _counts_from_numerator(num, ideal.ring.arity + 1, d)[d]
 

@@ -53,10 +53,7 @@ class Ring:
         return Polynomial(self, {tuple(exps): Fraction(1)})
 
     def const(self, value) -> "Polynomial":
-        c = Fraction(value)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.arity: c})
+        return Polynomial(self, {(0,) * self.arity: Fraction(value)})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -152,7 +149,8 @@ class Polynomial:
 
     def __init__(self, ring_: Ring, terms: Dict[Monomial, Coeff]):
         self.ring = ring_
-        # never store zero coefficients
+        # the one place zero coefficients are dropped: arithmetic and the
+        # parser hand over their sums unchecked
         self.terms: Dict[Monomial, Coeff] = {
             m: c for m, c in terms.items() if c != 0
         }
@@ -199,30 +197,14 @@ class Polynomial:
         self._check_ring(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+            out[m] = out[m] + c if m in out else c
         return Polynomial(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
-            else:
-                s = s - c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+            out[m] = out[m] - c if m in out else -c
         return Polynomial(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
@@ -231,23 +213,13 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if c == 0:
-                return self.ring.zero()
             return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
         self._check_ring(other)
         out: Dict[Monomial, Coeff] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = monomial_mul(ma, mb)
-                s = out.get(m)
-                if s is None:
-                    out[m] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+                out[m] = out[m] + ca * cb if m in out else ca * cb
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -257,18 +229,6 @@ class Polynomial:
         return Polynomial(
             self.ring, {monomial_mul(mm, m): cc * c for mm, cc in self.terms.items()}
         )
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != self.ring.arity:
@@ -369,63 +329,57 @@ def _tokenize(text: str) -> List[str]:
 
 def parse_poly(text: str, ring_: Ring) -> Polynomial:
     """Parse the ASCII format: terms joined by + or -, factors joined by *,
-    powers with ^, coefficients integer or p/q."""
+    powers with ^, coefficients integer or p/q.
+
+    Each term's coefficient and exponent vector are read off its factors
+    and added into one dict of terms."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    result = ring_.zero()
+    out: Dict[Monomial, Coeff] = {}
     i = 0
     n = len(tokens)
-
-    def parse_factor(i: int) -> Tuple[Polynomial, int]:
-        if i >= n:
-            raise ParseError("unexpected end of input")
-        tok = tokens[i]
-        if tok.isdigit():
-            num = int(tok)
-            i += 1
-            if i < n and tokens[i] == "/":
-                if i + 1 >= n or not tokens[i + 1].isdigit():
-                    raise ParseError("malformed rational")
-                den = int(tokens[i + 1])
-                if den == 0:
-                    raise ParseError("zero denominator")
-                return ring_.const(Fraction(num, den)), i + 2
-            return ring_.const(num), i
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            p = ring_.var(tok)  # raises KeyError on unknown names
-            i += 1
-            if i < n and tokens[i] == "^":
-                if i + 1 >= n or not tokens[i + 1].isdigit():
-                    raise ParseError("malformed exponent")
-                p = p ** int(tokens[i + 1])
-                i += 2
-            return p, i
-        raise ParseError(f"unexpected token {tok!r}")
-
-    def parse_term(i: int) -> Tuple[Polynomial, int]:
-        p, i = parse_factor(i)
-        while i < n and tokens[i] == "*":
-            q, i = parse_factor(i + 1)
-            p = p * q
-        return p, i
-
-    sign = 1
-    first = True
     while i < n:
         tok = tokens[i]
-        if tok == "+":
-            sign, i = 1, i + 1
-        elif tok == "-":
-            sign, i = -1, i + 1
-        elif first:
-            sign = 1
-        else:
+        if tok == "+" or tok == "-":
+            i += 1
+        elif i:
             raise ParseError(f"expected + or - before {tok!r}")
-        term, i = parse_term(i)
-        result = result + term * sign
-        first = False
-    return result
+        num, den = (-1 if tok == "-" else 1), 1
+        exps = [0] * ring_.arity
+        while True:  # one factor per pass
+            if i >= n:
+                raise ParseError("unexpected end of input")
+            tok = tokens[i]
+            i += 1
+            if tok.isdigit():
+                num *= int(tok)
+                if i < n and tokens[i] == "/":
+                    if i + 1 >= n or not tokens[i + 1].isdigit():
+                        raise ParseError("malformed rational")
+                    d = int(tokens[i + 1])
+                    if d == 0:
+                        raise ParseError("zero denominator")
+                    den *= d
+                    i += 2
+            elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
+                k = ring_.index(tok)  # raises KeyError on unknown names
+                if i < n and tokens[i] == "^":
+                    if i + 1 >= n or not tokens[i + 1].isdigit():
+                        raise ParseError("malformed exponent")
+                    exps[k] += int(tokens[i + 1])
+                    i += 2
+                else:
+                    exps[k] += 1
+            else:
+                raise ParseError(f"unexpected token {tok!r}")
+            if i >= n or tokens[i] != "*":
+                break
+            i += 1
+        m = tuple(exps)
+        c = Fraction(num, den)
+        out[m] = out[m] + c if m in out else c
+    return Polynomial(ring_, out)
 
 
 def _format_monomial(m: Monomial, ring_: Ring) -> str:

@@ -383,6 +383,15 @@ class TestHilbert:
         assert affine_hilbert_function(I, 2) == 4
         assert affine_hilbert_function(I, 9) == 4
 
+    @pytest.mark.parametrize("d", [-1, -3])
+    def test_negative_degree_rejected(self, d):
+        r = ring("x", "y")
+        I = make_ideal(r, "x^2 - 1", "y^2 - x")
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            affine_hilbert_function(I, d)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            hilbert_function(make_ideal(r, "x^2", "y^2"), d)
+
     def test_affine_counts_from_one_numerator(self, monkeypatch):
         import classinv.groebner as gb
 

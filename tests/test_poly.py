@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from classinv.poly import (
     ParseError,
     Polynomial,
     Ring,
+    _tokenize,
     initial_form,
     leading_term,
     parse_poly,
@@ -65,6 +67,135 @@ class TestParse:
     @given(rand_polys(R4))
     def test_roundtrip(self, p):
         assert parse_poly(serialize(p), R4) == p
+
+
+def oracle_parse(text, ring_):
+    """The parser as it was written on Polynomial arithmetic: each factor is
+    a Polynomial, a term their product, the result the sum of the terms.
+    Powers are repeated products.  Kept as an independent oracle."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty input")
+    result = ring_.zero()
+    i = 0
+    n = len(tokens)
+
+    def parse_factor(i):
+        if i >= n:
+            raise ParseError("unexpected end of input")
+        tok = tokens[i]
+        if tok.isdigit():
+            num = int(tok)
+            i += 1
+            if i < n and tokens[i] == "/":
+                if i + 1 >= n or not tokens[i + 1].isdigit():
+                    raise ParseError("malformed rational")
+                den = int(tokens[i + 1])
+                if den == 0:
+                    raise ParseError("zero denominator")
+                return ring_.const(Fraction(num, den)), i + 2
+            return ring_.const(num), i
+        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
+            p = ring_.var(tok)
+            i += 1
+            if i < n and tokens[i] == "^":
+                if i + 1 >= n or not tokens[i + 1].isdigit():
+                    raise ParseError("malformed exponent")
+                base, p = p, ring_.one()
+                for _ in range(int(tokens[i + 1])):
+                    p = p * base
+                i += 2
+            return p, i
+        raise ParseError(f"unexpected token {tok!r}")
+
+    def parse_term(i):
+        p, i = parse_factor(i)
+        while i < n and tokens[i] == "*":
+            q, i = parse_factor(i + 1)
+            p = p * q
+        return p, i
+
+    first = True
+    while i < n:
+        tok = tokens[i]
+        if tok == "+":
+            sign, i = 1, i + 1
+        elif tok == "-":
+            sign, i = -1, i + 1
+        elif first:
+            sign = 1
+        else:
+            raise ParseError(f"expected + or - before {tok!r}")
+        term, i = parse_term(i)
+        result = result + term * sign
+        first = False
+    return result
+
+
+R3 = ring("x", "y", "z")
+
+
+@st.composite
+def poly_texts(draw):
+    """Strings in the grammar of parse_poly: repeated variables, ^0, zero
+    and rational coefficients, and terms that cancel."""
+    factor = st.one_of(
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 12), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.sampled_from(R3.variables),
+        st.tuples(st.sampled_from(R3.variables), st.integers(0, 4)).map(lambda t: f"{t[0]}^{t[1]}"),
+    )
+    term = st.lists(factor, min_size=1, max_size=4).map("*".join)
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), term), min_size=1, max_size=6))
+    # repeat some terms with the opposite sign, so that they cancel
+    for sign, body in draw(st.lists(st.sampled_from(terms), max_size=3)):
+        terms.append(("-" if sign == "+" else "+", body))
+    sep = draw(st.sampled_from(["", " "]))
+    text = "".join(f"{sep}{sign}{sep}{body}" for sign, body in terms)
+    if terms[0][0] == "+" and draw(st.booleans()):
+        text = text.lstrip().lstrip("+")  # a first term with no sign
+    return text
+
+
+class TestParserParity:
+    @settings(max_examples=150, deadline=None)
+    @given(poly_texts())
+    def test_same_polynomial_as_arithmetic_parser(self, text):
+        assert parse_poly(text, R3) == oracle_parse(text, R3)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "x +", "x + + y", "1/0", "1/x", "x^", "x^y", "(x)", "x y", "2^3", "x + w"],
+    )
+    def test_same_error(self, text):
+        with pytest.raises((ParseError, KeyError)) as new:
+            parse_poly(text, R3)
+        with pytest.raises((ParseError, KeyError)) as old:
+            oracle_parse(text, R3)
+        assert type(new.value) is type(old.value)
+        assert new.value.args == old.value.args
+
+
+class TestNoStoredZeros:
+    @settings(max_examples=60, deadline=None)
+    @given(rand_polys(R2), rand_polys(R2))
+    def test_arithmetic(self, p, q):
+        for r in (p + q, p - q, p * q, 0 * p, p * 0, Fraction(0) * p, p - p):
+            assert 0 not in r.terms.values()
+        assert (p - p).terms == {}
+
+    def test_zero_constant(self):
+        assert R2.const(0).terms == {}
+        assert R2.const(Fraction(0, 3)).terms == {}
+
+    def test_cancelled_product_term(self):
+        x, y = R2.var("x"), R2.var("y")
+        p = (x + y) * (x - y)
+        assert (1, 1) not in p.terms
+        assert p == parse_poly("x^2 - y^2", R2)
+
+    def test_parsed_cancellation(self):
+        assert parse_poly("x*y - y*x + 0*x", R2).terms == {}
 
 
 class TestArithmetic:
